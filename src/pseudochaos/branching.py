@@ -135,15 +135,32 @@ class ResidualReport:
     compensator_mean: MCEstimate
 
 
-def martingale_residual(params: HawkesParams, n_paths: int, rng_key: RngKey) -> ResidualReport:
+def _chain_paths(params: HawkesParams, seed: int, start: int, stop: int) -> dict:
+    """The chain process on the configurations of keys (seed, p) for p in
+    [start, stop): per-path arrays of the horizon value, the compensator, the
+    atom count and the atoms ignored for a mark above max(mu, kernel sup),
+    plus one (p, t, size) row per jump."""
     _require_uncensored_window(params)
+    threshold = max(params.mu, params.kernel.sup_norm)
+    n = stop - start
+    out = {key: np.empty(n) for key in ("totals", "comps", "atoms", "ignored")}
+    rows = []
+    for i, p in enumerate(range(start, stop)):
+        source = sample_poisson(params.window, (seed, p))
+        path = branching_path(params, source)
+        out["totals"][i] = path.total
+        out["comps"][i] = path.compensator
+        out["atoms"][i] = len(source)
+        out["ignored"][i] = (source.marks > threshold).sum()
+        rows.extend((p, float(t), int(size)) for t, size in zip(path.jump_times, path.jump_sizes))
+    out["rows"] = rows
+    return out
+
+
+def martingale_residual(params: HawkesParams, n_paths: int, rng_key: RngKey) -> ResidualReport:
     seed, base_index = rng_key
-    totals = np.empty(n_paths)
-    comps = np.empty(n_paths)
-    for p in range(n_paths):
-        path = branching_path(params, sample_poisson(params.window, (seed, base_index + p)))
-        totals[p] = path.total
-        comps[p] = path.compensator
+    paths = _chain_paths(params, seed, base_index, base_index + n_paths)
+    totals, comps = paths["totals"], paths["comps"]
     return ResidualReport(
         residual=MCEstimate.from_samples(totals - comps, seed=seed),
         total_mean=MCEstimate.from_samples(totals, seed=seed),
@@ -207,23 +224,12 @@ class JumpHistogram:
 
 
 def jump_size_histogram(params: HawkesParams, n_paths: int, rng_key: RngKey) -> JumpHistogram:
-    _require_uncensored_window(params)
     seed, base_index = rng_key
-    threshold = max(params.mu, params.kernel.sup_norm)
-    pooled: Counter = Counter()
-    big = np.empty(n_paths)
-    tot = np.empty(n_paths)
-    n_atoms = 0
-    n_ignored = 0
-    for p in range(n_paths):
-        source = sample_poisson(params.window, (seed, base_index + p))
-        path = branching_path(params, source)
-        pooled.update(path.jump_histogram)
-        sizes = path.jump_sizes
-        big[p] = (sizes >= 2).sum()
-        tot[p] = len(sizes)
-        n_atoms += len(source)
-        n_ignored += int((source.marks > threshold).sum())
+    paths = _chain_paths(params, seed, base_index, base_index + n_paths)
+    sizes = np.array([size for _, _, size in paths["rows"]], dtype=np.int64)
+    owner = np.array([p for p, _, _ in paths["rows"]], dtype=np.int64) - base_index
+    big = np.bincount(owner, weights=sizes >= 2, minlength=n_paths)
+    tot = np.bincount(owner, minlength=n_paths).astype(float)
     n_jumps = int(tot.sum())
     frac = float(big.sum() / n_jumps) if n_jumps else 0.0
     if n_paths > 1 and n_jumps:
@@ -231,8 +237,9 @@ def jump_size_histogram(params: HawkesParams, n_paths: int, rng_key: RngKey) -> 
         se = float(np.std(resid, ddof=1) / np.sqrt(n_paths) / tot.mean())
     else:
         se = 0.0
+    n_atoms, n_ignored = int(paths["atoms"].sum()), int(paths["ignored"].sum())
     return JumpHistogram(
-        counts=dict(sorted(pooled.items())),
+        counts=dict(sorted(Counter(sizes.tolist()).items())),
         n_paths=n_paths,
         n_jumps=n_jumps,
         frac_ge2=frac,

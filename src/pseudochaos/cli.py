@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import expansion, harness
-from .configurations import Point, Window, read_csv, sample_poisson
+from .configurations import AtomBudgetExceeded, Point, Window, read_csv, sample_poisson
 from .hawkes import HawkesCount, HawkesParams
 from .kernels import Kernel, StabilityError, build_ladder
 from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1
+from .mc import MCEstimate
 
 
 class ConfigError(ValueError):
@@ -164,13 +165,19 @@ def _parse_points(text: str) -> list[Point]:
     return points
 
 
+def _pm(est: MCEstimate) -> str:
+    """'mean +- se' at 5 decimals; a single-sample estimate has no se."""
+    se = "n/a" if est.se is None else f"{est.se:.5f}"
+    return f"{est.mean:.5f} +- {se}"
+
+
 def cmd_simulate(cfg: RunConfig, ns) -> int:
     spec = harness.ExperimentSpec(
         "hawkes_mean", build_params(cfg), cfg.n_paths, cfg.seed, thinning=cfg.thinning
     )
     res = harness.run_experiment(spec, out_dir=ns.out)
     h = res.headline
-    print(f"event count over {h.n} paths ({cfg.thinning}): {h.mean:.5f} +- {h.se:.5f}")
+    print(f"event count over {h.n} paths ({cfg.thinning}): {_pm(h)}")
     print(f"overflow fraction: {res.extra['overflow_fraction']:.5f}")
     return 0
 
@@ -183,7 +190,7 @@ def cmd_expect(cfg: RunConfig, ns) -> int:
     mc = harness.run_experiment(spec, out_dir=ns.out).headline
     ok = mc.within(ana.value, slack=ana.error_budget)
     print(f"analytic mean: {ana.value:.5f} (error budget {ana.error_budget:.2g})")
-    print(f"mc mean ({mc.n} paths, exact thinning): {mc.mean:.5f} +- {mc.se:.5f}")
+    print(f"mc mean ({mc.n} paths, exact thinning): {_pm(mc)}")
     print("agreement within 3 se + budget:", "yes" if ok else "NO")
     return 0 if ok else 1
 
@@ -236,7 +243,7 @@ def cmd_branching(cfg: RunConfig, ns) -> int:
     spec = harness.ExperimentSpec("histogram", build_params(cfg), cfg.n_paths, cfg.seed)
     res = harness.run_experiment(spec, out_dir=ns.out)
     total = res.extra["total_mean"]
-    print(f"mean value at horizon: {total.mean:.5f} +- {total.se:.5f}")
+    print(f"mean value at horizon: {_pm(total)}")
     print(f"fraction of jumps >= 2: {res.extra['frac_jumps_ge2']:.5f}")
     return 0
 
@@ -249,9 +256,9 @@ def cmd_characterize(cfg: RunConfig, ns) -> int:
     )
     rows = [[j + 1, t.mean, t.se] for j, t in enumerate(report.terms)]
     _emit(rows, ["order", "term_mean", "term_se"], ns.out, "characterization.csv")
-    print(f"cumulative: {report.cumulative.mean:.5f} +- {report.cumulative.se:.5f}")
-    print(f"reference E[F]: {report.reference.mean:.5f} +- {report.reference.se:.5f}")
-    print(f"residual: {report.residual.mean:.5f} +- {report.residual.se:.5f} "
+    print(f"cumulative: {_pm(report.cumulative)}")
+    print(f"reference E[F]: {_pm(report.reference)}")
+    print(f"residual: {_pm(report.residual)} "
           f"(truncation budget {report.truncation_budget:.5f})")
     ok = report.residual.within(0.0, slack=report.truncation_budget)
     print("identity holds within 3 se + budget:", "yes" if ok else "NO")
@@ -274,7 +281,7 @@ def cmd_ipp(cfg: RunConfig, ns) -> int:
             good = good and check.lhs.mean == 0.0
         ok &= good
         print(f"{name}: lhs {check.lhs.mean:.5f} rhs {check.rhs.mean:.5f} "
-              f"diff {check.diff.mean:.5f} +- {check.diff.se:.5f} -> {'ok' if good else 'FAIL'}")
+              f"diff {_pm(check.diff)} -> {'ok' if good else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -326,7 +333,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(ns)
         return _COMMANDS[ns.command](cfg, ns)
-    except (ConfigError, StabilityError, FileNotFoundError) as exc:
+    except (ValueError, AtomBudgetExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -4,8 +4,8 @@ the reduced-scale selfcheck behind the CLI."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import branching, expansion
-from .configurations import AtomBudgetExceeded, DEFAULT_ATOM_BUDGET, Window, sample_poisson
+from .configurations import DEFAULT_ATOM_BUDGET, Window, sample_poisson
 from .hawkes import HawkesCount, HawkesParams, simulate
 from .kernels import ConvolutionLadder, Kernel, build_ladder
 from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1, iterated_difference
@@ -97,84 +97,71 @@ def reconstruction_audit(
     """Per path, rebuild the event count from the expansion and tally exact
     matches; paths beyond the enumeration budget are skipped, not failed."""
     seed, base_index = rng_key
-    checked = exact = skipped = 0
-    for p in range(n_paths):
-        source = sample_poisson(params.window, (seed, base_index + p))
+    return _tally(_reconstruction_flags(params, budget, seed, base_index, base_index + n_paths))
+
+
+def _reconstruction_flags(
+    params: HawkesParams, budget: int, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Per path p in [start, stop), on key (seed, p): 1 if the expansion
+    rebuilds the event count exactly, 0 if not, -1 if over the atom budget."""
+    flags = np.empty(stop - start, dtype=np.int64)
+    for i, p in enumerate(range(start, stop)):
+        source = sample_poisson(params.window, (seed, p))
         if len(source) > budget:
-            skipped += 1
-            continue
-        checked += 1
-        exact += expansion.reconstruct(params, source, budget=budget).exact_match
-    return AuditResult(n_checked=checked, n_exact=exact, n_skipped_budget=skipped)
+            flags[i] = -1
+        else:
+            flags[i] = expansion.reconstruct(params, source, budget=budget).exact_match
+    return flags
 
 
-# -- path-parallel workers ----------------------------------------------------
-# Workers take (spec, (start, stop)) and return arrays indexed by path, so the
-# merge is a concatenation in chunk order and results cannot depend on which
-# process ran which chunk.
+def _tally(flags: np.ndarray) -> AuditResult:
+    return AuditResult(
+        n_checked=int((flags >= 0).sum()),
+        n_exact=int((flags == 1).sum()),
+        n_skipped_budget=int((flags < 0).sum()),
+    )
 
-def _worker_hawkes(spec: ExperimentSpec, span) -> dict:
-    start, stop = span
+
+# -- path-parallel runner -----------------------------------------------------
+# Each per-path loop takes (..., seed, start, stop) and returns arrays or row
+# lists indexed by path, so the merge is a concatenation in chunk order and
+# results cannot depend on which process ran which chunk.
+
+def _hawkes_paths(params: HawkesParams, thinning: str, seed: int, start: int, stop: int) -> dict:
     counts = np.empty(stop - start)
     overflow = np.empty(stop - start, dtype=bool)
     rows = []
-    for p in range(start, stop):
-        path = simulate(spec.params, (spec.seed, p), thinning=spec.thinning)
-        counts[p - start] = path.event_count
-        overflow[p - start] = path.overflow
+    for i, p in enumerate(range(start, stop)):
+        path = simulate(params, (seed, p), thinning=thinning)
+        counts[i] = path.event_count
+        overflow[i] = path.overflow
         for atom, ok, lam in zip(path.source.atoms, path.accepted, path.intensities):
             rows.append((p, atom.t, atom.theta, int(ok), lam))
     return {"counts": counts, "overflow": overflow, "rows": rows}
 
 
-def _worker_reconstruction(spec: ExperimentSpec, span) -> dict:
-    start, stop = span
-    flags = []
-    for p in range(start, stop):
-        source = sample_poisson(spec.params.window, (spec.seed, p))
-        if len(source) > spec.budget:
-            flags.append(-1)
-        else:
-            flags.append(int(expansion.reconstruct(spec.params, source, budget=spec.budget).exact_match))
-    return {"flags": np.array(flags)}
+def _concat(parts: list):
+    """Merge per-chunk results in chunk order: arrays concatenate, row lists
+    chain, dicts merge key by key."""
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: _concat([part[key] for part in parts]) for key in first}
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return [row for part in parts for row in part]
 
 
-def _worker_residual(spec: ExperimentSpec, span) -> dict:
-    start, stop = span
-    totals = np.empty(stop - start)
-    comps = np.empty(stop - start)
-    rows = []
-    for p in range(start, stop):
-        path = branching.branching_path(
-            spec.params, sample_poisson(spec.params.window, (spec.seed, p))
-        )
-        totals[p - start] = path.total
-        comps[p - start] = path.compensator
-        for t, size in zip(path.jump_times, path.jump_sizes):
-            rows.append((p, float(t), int(size)))
-    return {"totals": totals, "comps": comps, "rows": rows}
-
-
-_WORKERS = {
-    "hawkes_mean": _worker_hawkes,
-    "reconstruction": _worker_reconstruction,
-    "residual": _worker_residual,
-    "histogram": _worker_residual,
-}
-
-
-def _run_worker(args):
-    statistic, spec, span = args
-    return _WORKERS[statistic](spec, span)
-
-
-def _map_paths(spec: ExperimentSpec, n_jobs: int, chunk: int = 256) -> list[dict]:
-    spans = [(s, min(s + chunk, spec.n_paths)) for s in range(0, spec.n_paths, chunk)]
-    args = [(spec.statistic, spec, span) for span in spans]
+def _map_paths(loop, spec: ExperimentSpec, n_jobs: int, *args, chunk: int = 256):
+    """Run loop(*args, spec.seed, start, stop) over the chunks of the spec's
+    paths and concatenate the results."""
+    starts = range(0, spec.n_paths, chunk)
+    stops = [min(s + chunk, spec.n_paths) for s in starts]
+    per_chunk = functools.partial(loop, *args, spec.seed)
     if n_jobs == 1:
-        return [_run_worker(a) for a in args]
+        return _concat(list(map(per_chunk, starts, stops)))
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(_run_worker, args))
+        return _concat(list(pool.map(per_chunk, starts, stops)))
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> ExperimentResult:
@@ -184,35 +171,25 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
     artifact_rows: dict[str, tuple[list[str], list]] = {}
 
     if spec.statistic == "hawkes_mean":
-        parts = _map_paths(spec, n_jobs)
-        counts = np.concatenate([p["counts"] for p in parts])
-        overflow = np.concatenate([p["overflow"] for p in parts])
-        headline = MCEstimate.from_samples(counts, seed=spec.seed)
-        extra["overflow_fraction"] = float(overflow.mean())
+        paths = _map_paths(_hawkes_paths, spec, n_jobs, spec.params, spec.thinning)
+        headline = MCEstimate.from_samples(paths["counts"], seed=spec.seed)
+        extra["overflow_fraction"] = float(paths["overflow"].mean())
         artifact_rows["paths.csv"] = (
-            ["path_id", "t", "theta", "accepted", "intensity"],
-            [r for p in parts for r in p["rows"]],
+            ["path_id", "t", "theta", "accepted", "intensity"], paths["rows"],
         )
     elif spec.statistic == "reconstruction":
-        parts = _map_paths(spec, n_jobs)
-        flags = np.concatenate([p["flags"] for p in parts])
+        flags = _map_paths(_reconstruction_flags, spec, n_jobs, spec.params, spec.budget)
         checked = flags[flags >= 0]
         headline = MCEstimate.from_samples(checked if checked.size else [0.0], seed=spec.seed)
-        extra["audit"] = AuditResult(
-            n_checked=int((flags >= 0).sum()),
-            n_exact=int((flags == 1).sum()),
-            n_skipped_budget=int((flags < 0).sum()),
-        )
+        extra["audit"] = _tally(flags)
         artifact_rows["reconstruction.csv"] = (
             ["path_id", "exact_match"],
             [(i, int(f)) for i, f in enumerate(flags)],
         )
     elif spec.statistic in ("residual", "histogram"):
-        parts = _map_paths(spec, n_jobs)
-        totals = np.concatenate([p["totals"] for p in parts])
-        comps = np.concatenate([p["comps"] for p in parts])
-        jump_rows = [r for p in parts for r in p["rows"]]
-        residual = MCEstimate.from_samples(totals - comps, seed=spec.seed)
+        paths = _map_paths(branching._chain_paths, spec, n_jobs, spec.params)
+        totals, jump_rows = paths["totals"], paths["rows"]
+        residual = MCEstimate.from_samples(totals - paths["comps"], seed=spec.seed)
         sizes = np.array([r[2] for r in jump_rows]) if jump_rows else np.zeros(0)
         frac_ge2 = float((sizes >= 2).mean()) if sizes.size else 0.0
         if spec.statistic == "residual":

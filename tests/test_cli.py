@@ -121,3 +121,25 @@ def test_selfcheck_passes(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct"],                           # seed 7 samples 24 atoms, budget 22
+        ["--paths", "0", "simulate"],
+        ["coeff", "--points", "1:0.5,1:0.7"],      # duplicate time
+        ["coeff", "--points", "9:0.5"],            # outside the window
+    ],
+)
+def test_bad_input_exits_with_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "branching"])
+def test_single_path_prints_missing_se(command, capsys):
+    assert main(["--paths", "1", command]) == 0
+    assert "+- n/a" in capsys.readouterr().out

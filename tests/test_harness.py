@@ -10,6 +10,8 @@ from pseudochaos import (
     Window,
     build_ladder,
     expected_count_analytic,
+    jump_size_histogram,
+    martingale_residual,
     reconstruction_audit,
     run_experiment,
 )
@@ -59,14 +61,35 @@ def test_run_experiment_is_deterministic(tmp_path, params_default):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_run_experiment_parallel_matches_serial(tmp_path, params_default):
-    spec = ExperimentSpec("hawkes_mean", params_default, 600, seed=6)
-    serial = run_experiment(spec, out_dir=tmp_path / "serial", n_jobs=1)
-    parallel = run_experiment(spec, out_dir=tmp_path / "parallel", n_jobs=2)
-    assert serial.headline == parallel.headline
-    assert (tmp_path / "serial" / "paths.csv").read_bytes() == (
-        tmp_path / "parallel" / "paths.csv"
-    ).read_bytes()
+def test_run_experiment_parallel_matches_serial(tmp_path, params_default, params_small):
+    specs = [
+        ExperimentSpec("hawkes_mean", params_default, 600, seed=6),
+        ExperimentSpec("hawkes_mean", params_default, 600, seed=6, thinning="exact"),
+        ExperimentSpec("reconstruction", params_small, 600, seed=6, budget=6),
+        ExperimentSpec("residual", params_default, 600, seed=6),
+        ExperimentSpec("histogram", params_default, 600, seed=6),
+    ]
+    for i, spec in enumerate(specs):
+        serial = run_experiment(spec, out_dir=tmp_path / f"serial{i}", n_jobs=1)
+        parallel = run_experiment(spec, out_dir=tmp_path / f"parallel{i}", n_jobs=2)
+        assert serial.headline == parallel.headline, spec
+        assert serial.extra == parallel.extra, spec
+        assert [a.name for a in serial.artifacts] == [b.name for b in parallel.artifacts]
+        for a, b in zip(serial.artifacts, parallel.artifacts):
+            assert a.read_bytes() == b.read_bytes(), (spec, a.name)
+
+
+def test_reconstruction_audit_matches_runner(exp_kernel):
+    params = HawkesParams(mu=1.0, kernel=exp_kernel, window=Window(T=3.0, M=4.0))
+    res = run_experiment(ExperimentSpec("reconstruction", params, 300, seed=24, budget=6))
+    assert reconstruction_audit(params, 300, (24, 0), budget=6) == res.extra["audit"]
+
+
+def test_chain_reports_match_runner(params_default):
+    res = run_experiment(ExperimentSpec("residual", params_default, 300, seed=25))
+    assert martingale_residual(params_default, 300, (25, 0)).residual == res.headline
+    hist = jump_size_histogram(params_default, 300, (25, 0))
+    assert hist.frac_ge2 == res.extra["frac_jumps_ge2"]
 
 
 def test_single_path_has_no_standard_error(params_default):

@@ -170,3 +170,12 @@ def test_ipp_is_deterministic(exp_kernel):
     a = ipp_check_order1(HawkesCount(params), window, 500, (74, 0))
     b = ipp_check_order1(HawkesCount(params), window, 500, (74, 0))
     assert a == b
+
+
+def test_ipp_generic_functional_matches_vectorized():
+    # a generic callable functional must reproduce RectangleCount exactly on
+    # the same samples
+    window = Window(T=2.0, M=2.0)
+    generic = ipp_check_order1(CallableFunctional(len, window), window, 600, (75, 0))
+    assert generic == ipp_check_order1(RectangleCount(window), window, 600, (75, 0))
+    assert generic.lhs.mean == 4.0
