@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .configurations import Configuration, Window, sample_poisson
-from .hawkes import HawkesParams
+from .hawkes import HawkesParams, _intensity
 from .mc import MCEstimate, RngKey, rng_from_key
 
 
@@ -100,12 +100,10 @@ class BranchingPath:
 
     def intensity(self, t: float) -> float:
         """mu plus the kernel-weighted chain counts of atoms strictly before t."""
-        before = self.source.times < t
-        lam = self.params.mu
-        if before.any():
-            vals = self.params.kernel(t - self.source.times[before])
-            lam += float((vals * np.asarray(self.counts)[before]).sum())
-        return lam
+        times = self.source.times
+        cut = int(np.searchsorted(times, t, side="left"))
+        row = self.params.kernel(t - times[:cut]).tolist() if cut else ()
+        return float(_intensity(self.params.mu, row, self.counts))
 
     @cached_property
     def compensator(self) -> float:

@@ -86,7 +86,10 @@ def parse_config(text: str) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     if cfg.mu <= 0.0:
         raise ConfigError(f"mu must be > 0, got {cfg.mu}")
-    kernel = build_kernel(cfg)
+    try:
+        kernel = build_kernel(cfg)
+    except OSError as exc:
+        raise ConfigError(f"cannot read kernel table {cfg.table!r}: {exc}") from exc
     if kernel.l1_norm >= 1.0:
         raise StabilityError(
             f"kernel L1 mass {kernel.l1_norm:.6g} >= 1 "

@@ -184,12 +184,31 @@ def write_csv(config: Configuration, path, rng_key: RngKey | None = None) -> Non
             writer.writerow([f"{p.t:.17g}", f"{p.theta:.17g}"])
 
 
-def read_csv(path, window: Window) -> Configuration:
+def _read_pairs(path, header: str) -> list[tuple[float, float]]:
+    """The number pairs of a CSV file under the given two-column header,
+    skipping '#' comments and blank lines. A malformed line raises ValueError
+    naming the file and the line."""
+    pairs = None
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t", "theta"]:
-            raise ValueError(f"{path}: expected CSV header 't,theta'")
-        atoms = [Point(float(r[0]), float(r[1])) for r in reader if r]
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith("#"):
+                continue
+            try:
+                row = next(csv.reader([line]), [])
+                if pairs is None:
+                    if [h.strip() for h in row[:2]] != header.split(","):
+                        break
+                    pairs = []
+                elif row:
+                    pairs.append((float(row[0]), float(row[1])))
+            except (csv.Error, IndexError, ValueError):
+                raise ValueError(f"{path}, line {lineno}: malformed row {line.strip()!r}") from None
+    if pairs is None:
+        raise ValueError(f"{path}: expected CSV header {header!r}")
+    return pairs
+
+
+def read_csv(path, window: Window) -> Configuration:
+    atoms = [Point(t, theta) for t, theta in _read_pairs(path, "t,theta")]
     atoms.sort(key=lambda p: p.t)
     return Configuration(window=window, atoms=tuple(atoms))

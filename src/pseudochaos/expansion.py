@@ -29,7 +29,7 @@ from .configurations import (
     Window,
     sample_poisson,
 )
-from .hawkes import HawkesCount, HawkesParams, intensity_on_configuration, solve_path
+from .hawkes import HawkesCount, HawkesParams, _intensity, intensity_on_configuration, solve_path
 from .malliavin import Functional, iterated_difference
 from .mc import MCEstimate, RngKey, rng_from_key
 
@@ -108,9 +108,9 @@ def _coefficient_table(params: HawkesParams, config: Configuration) -> np.ndarra
     exactly the bitmasks below 2**i. active[mask] carries which atoms the
     triangular solve accepts on sub-configuration `mask`; the alternating
     subset sum of the acceptance indicator of atom i over those masks is the
-    coefficient of mask + {i}. Accumulation order matches the path solver
-    (ascending time, rejected atoms contributing exact zeros), so every
-    indicator decision is bitwise identical to solve_path's.
+    coefficient of mask + {i}. `_intensity` adds up the intensities of all
+    masks, weighting atom j by its bit (bit columns are made one at a time),
+    so every indicator decision is bitwise identical to solve_path's.
     """
     n = len(config)
     times, marks = config.times, config.marks
@@ -119,12 +119,9 @@ def _coefficient_table(params: HawkesParams, config: Configuration) -> np.ndarra
     active = np.zeros(1, dtype=np.int64)
     sizes = np.zeros(1, dtype=np.int64)
     for i in range(n):
-        lam = np.full(1 << i, mu)
-        if i:
-            row = kernel(times[i] - times[:i])
-            for j in range(i):
-                lam += row[j] * ((active >> j) & 1)
-        ind = marks[i] <= lam
+        row = kernel(times[i] - times[:i]) if i else ()
+        bits = ((active >> j) & 1 for j in range(i))
+        ind = marks[i] <= _intensity(np.full(1 << i, mu), row, bits)
         active = np.concatenate([active, active | (np.int64(1 << i) * ind)])
         g = ind.astype(np.int64)
         for b in range(i):
@@ -229,6 +226,8 @@ def characterization_check(
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
+    if points_per_path < 1:
+        raise ValueError(f"points_per_path must be >= 1, got {points_per_path}")
     seed, base_index = rng_key
     T, M, area = window.T, window.M, window.area
     n_subsets = 1 << j_max
@@ -318,18 +317,15 @@ def chaotic_coefficient_mc(
     form, so each sample needs a fresh simulated configuration."""
     if j != len(points):
         raise ValueError(f"expected {j} points, got {len(points)}")
-    pts = sorted(points, key=lambda p: p.t)
-    for a, b in zip(pts, pts[1:]):
-        if a.t == b.t:
-            raise TimeCollisionError(f"duplicate point time {a.t}")
     seed, base_index = rng_key
     F = HawkesCount(params)
     # envelope window so points beyond the horizon or mark ceiling are legal
     # inputs; F itself ignores them, which is the point of the t > T example
     env = Window(
-        T=max(params.window.T, max(p.t for p in pts) + 1.0),
-        M=max(params.window.M, max(p.theta for p in pts) + 1.0),
+        T=max(params.window.T, max(p.t for p in points) + 1.0),
+        M=max(params.window.M, max(p.theta for p in points) + 1.0),
     )
+    pts = _validate_points(env, points)
     samples = np.empty(n_paths)
     for p in range(n_paths):
         rng = rng_from_key((seed, base_index + p))

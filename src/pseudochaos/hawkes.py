@@ -5,9 +5,9 @@ where lambda(t) = mu + sum of kernel(t - s) over previously accepted atoms s.
 Sweeping atoms in time order simultaneously solves the triangular system for
 the intensity at atom times and realizes the path of the counting process.
 
-All intensity sums accumulate in ascending time order, so the path solver, the
-coefficient evaluators, and the reconstruction audit agree on every indicator
-decision bit for bit.
+Every intensity, on one path or on a batch of paths or subset bitmasks, is
+added up by `_intensity` alone, in ascending time order, so all evaluators
+agree with the path solver on every indicator decision bit for bit.
 """
 from __future__ import annotations
 
@@ -39,27 +39,28 @@ class HawkesParams:
             )
 
 
-def _sweep(mu: float, kernel: Kernel, times: np.ndarray, marks: np.ndarray):
-    """Thinning sweep in time order. Returns (intensities, accepted) where
-    intensities[i] is lambda at atom i built from previously accepted atoms.
+def _intensity(mu, values, weights):
+    """mu + values[j] * weights[j], added one j at a time in ascending order:
+    the one place where an intensity is summed. Items are scalars, or arrays
+    over a batch of paths or subset bitmasks (an array mu is updated in place);
+    a zero weight adds an exact 0.0. np.sum (pairwise) and the builtin sum
+    (compensated on Python 3.12+) would round differently."""
+    lam = mu
+    for value, w in zip(values, weights):
+        lam += value * w
+    return lam
 
-    The inner accumulation adds contributions one predecessor at a time in
-    ascending order; skipped (rejected) atoms contribute an exact 0.0, so any
-    evaluator that adds `row[j] * accepted[j]` over the full prefix produces
-    bitwise-identical intensities.
-    """
-    n = len(times)
-    intensities = np.empty(n)
-    accepted = np.zeros(n, dtype=bool)
-    for i in range(n):
-        lam = mu
-        if i:
-            row = kernel(times[i] - times[:i])
-            for j in range(i):
-                if accepted[j]:
-                    lam = lam + row[j]
-        intensities[i] = lam
-        accepted[i] = marks[i] <= lam
+
+def _sweep(mu: float, kernel: Kernel, times: np.ndarray, marks: np.ndarray):
+    """Thinning sweep in time order. Returns lists (intensities, accepted)
+    where intensities[i] is lambda at atom i built by `_intensity` from the
+    previously accepted atoms."""
+    mu, intensities, accepted = float(mu), [], []
+    for i, mark in enumerate(marks.tolist()):
+        row = kernel(times[i] - times[:i]).tolist() if i else ()
+        lam = _intensity(mu, row, accepted)
+        intensities.append(lam)
+        accepted.append(mark <= lam)
     return intensities, accepted
 
 
@@ -87,13 +88,12 @@ class HawkesPath:
 def solve_path(params: HawkesParams, source: Configuration) -> HawkesPath:
     """Solve the coupled count/intensity system pathwise on a fixed configuration."""
     intensities, accepted = _sweep(params.mu, params.kernel, source.times, source.marks)
-    overflow = bool(np.any(intensities > source.window.M)) if len(source) else False
     return HawkesPath(
         params=params,
         source=source,
-        intensities=tuple(float(v) for v in intensities),
-        accepted=tuple(bool(v) for v in accepted),
-        overflow=overflow,
+        intensities=tuple(intensities),
+        accepted=tuple(accepted),
+        overflow=any(v > source.window.M for v in intensities),
     )
 
 
@@ -106,13 +106,8 @@ def intensity_on_configuration(params: HawkesParams, fixed: Configuration, t: fl
     times = fixed.times
     cut = int(np.searchsorted(times, t, side="left"))
     _, accepted = _sweep(params.mu, params.kernel, times[:cut], fixed.marks[:cut])
-    lam = params.mu
-    if cut:
-        row = params.kernel(t - times[:cut])
-        for j in range(cut):
-            if accepted[j]:
-                lam = lam + row[j]
-    return float(lam)
+    row = params.kernel(t - times[:cut]).tolist() if cut else ()
+    return float(_intensity(params.mu, row, accepted))
 
 
 def simulate(params: HawkesParams, rng_key: RngKey, thinning: str = "capped") -> HawkesPath:
@@ -135,33 +130,28 @@ def simulate(params: HawkesParams, rng_key: RngKey, thinning: str = "capped") ->
         raise ValueError("exact thinning needs a nonincreasing kernel")
 
     rng = rng_from_key(rng_key)
-    mu, kernel, T = params.mu, params.kernel, params.window.T
+    mu, kernel, T = float(params.mu), params.kernel, params.window.T
     cand_t: list[float] = []
     cand_th: list[float] = []
     accepted: list[bool] = []
+
+    def intensity(t: float) -> float:
+        # the same full-prefix evaluation the path solver redoes on the source
+        row = kernel(t - np.asarray(cand_t)).tolist() if cand_t else ()
+        return _intensity(mu, row, accepted)
+
     t_cur = 0.0
     bound_max = mu
     while True:
         # For a nonincreasing kernel the intensity only decays until the next
         # accepted atom, so its value just after t_cur bounds it on (t_cur, T].
-        lam_bar = mu
-        if cand_t:
-            row = kernel(t_cur - np.asarray(cand_t))
-            for j in range(len(cand_t)):
-                if accepted[j]:
-                    lam_bar = lam_bar + row[j]
+        lam_bar = intensity(t_cur)
         t_cur = t_cur + rng.exponential(1.0 / lam_bar)
         if t_cur > T:
             break
         theta = float(rng.uniform(0.0, lam_bar))
-        bound_max = max(bound_max, float(lam_bar))
-        # same full-prefix evaluation the path solver will redo on the source
-        lam = mu
-        if cand_t:
-            row = kernel(t_cur - np.asarray(cand_t))
-            for j in range(len(cand_t)):
-                if accepted[j]:
-                    lam = lam + row[j]
+        bound_max = max(bound_max, lam_bar)
+        lam = intensity(t_cur)
         cand_t.append(float(t_cur))
         cand_th.append(theta)
         accepted.append(theta <= lam)
@@ -187,18 +177,15 @@ class HawkesCount(Functional):
 
     def eval_packed(self, times, marks, n_valid):
         """Vectorized sweep across a padded batch. Rows must be time sorted;
-        marks of +inf disable an atom. Tested to agree with solve_path."""
+        marks of +inf disable an atom. `_intensity` adds up the intensities,
+        over atom-major copies so that each predecessor's batch is contiguous."""
         mu, kernel = self.params.mu, self.params.kernel
-        n_rows, width = times.shape
-        idx = np.arange(width)
+        times, marks = np.ascontiguousarray(times.T), np.ascontiguousarray(marks.T)
+        width, n_rows = times.shape
         inside = (times <= self.window.T) & (marks <= self.window.M)
-        inside &= idx < n_valid[:, None]
-        accepted = np.zeros((n_rows, width), dtype=bool)
+        inside &= np.arange(width)[:, None] < n_valid
+        accepted = np.zeros((width, n_rows), dtype=bool)
         for i in range(width):
-            if i:
-                vals = kernel(np.maximum(times[:, i, None] - times[:, :i], 0.0))
-                lam = mu + (vals * accepted[:, :i]).sum(axis=1)
-            else:
-                lam = np.full(n_rows, mu)
-            accepted[:, i] = inside[:, i] & (marks[:, i] <= lam)
-        return accepted.sum(axis=1).astype(float)
+            vals = kernel(np.maximum(times[i] - times[:i], 0.0)) if i else ()
+            accepted[i] = inside[i] & (marks[i] <= _intensity(mu, vals, accepted[:i]))
+        return accepted.sum(axis=0).astype(float)

@@ -13,11 +13,12 @@ and their sum (the resolvent) has L1 mass ``|phi|_1 / (1 - |phi|_1)``.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .configurations import _read_pairs
 
 
 class StabilityError(ValueError):
@@ -66,19 +67,10 @@ class Kernel:
     def from_csv(cls, path) -> "Kernel":
         """Load a table kernel from CSV with header ``t,value``; the t column
         must be equally spaced, strictly increasing, and start at 0."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(row for row in fh if not row.startswith("#"))
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
-                raise ValueError(f"{path}: expected CSV header 't,value'")
-            ts, vs = [], []
-            for row in reader:
-                if not row:
-                    continue
-                ts.append(float(row[0]))
-                vs.append(float(row[1]))
-        if not ts:
+        pairs = _read_pairs(path, "t,value")
+        if not pairs:
             raise ValueError(f"{path}: empty kernel table")
+        ts, vs = [t for t, _ in pairs], [v for _, v in pairs]
         if abs(ts[0]) > 1e-12:
             raise ValueError(f"{path}: time grid must start at 0, got {ts[0]}")
         if len(ts) == 1:

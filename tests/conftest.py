@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from pseudochaos import HawkesParams, Kernel, Window
+from pseudochaos import Configuration, HawkesParams, Kernel, Point, Window, sample_poisson
+from pseudochaos.hawkes import _sweep
 
 # MC-style tests do real work on first call (numpy warmup); wall-clock
 # deadlines would only add flake.
@@ -29,3 +31,25 @@ def params_small(exp_kernel):
 def params_default(exp_kernel):
     """Desk-scale defaults used by the harness and the CLI."""
     return HawkesParams(mu=1.0, kernel=exp_kernel, window=Window(T=5.0, M=4.0))
+
+
+@pytest.fixture(scope="session")
+def knife_edge_configs(params_small):
+    """Configurations whose every mark equals the intensity the sweep computes
+    at its atom, so every atom is accepted with no margin at all: an evaluator
+    that rounds one intensity sum differently from the sweep flips a decision.
+    Each keeps the longest prefix whose marks fit under the mark ceiling (a
+    prefix of such a configuration is one too)."""
+    window = params_small.window
+    configs = []
+    for i in range(200):
+        times = sample_poisson(window, (401, i)).times
+        # zero marks accept every atom, so the intensities are the full sums
+        lams, _ = _sweep(params_small.mu, params_small.kernel, times, np.zeros(len(times)))
+        atoms = []
+        for t, lam in zip(times.tolist(), lams):
+            if lam > window.M:
+                break
+            atoms.append(Point(t, lam))
+        configs.append(Configuration(window, tuple(atoms)))
+    return configs

@@ -1,4 +1,7 @@
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, strategies as st
 
 from pseudochaos.cli import (
     ConfigError,
@@ -53,6 +56,39 @@ def test_malformed_number_reports_line():
 def test_unknown_key_is_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(VALID + "gamma = 3\n")
+
+
+_KEYS = sorted(f.name for f in fields(RunConfig))
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["exp", "table", "zero", "capped", "exact"]),
+)
+_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _VALUES),
+)
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(_LINES, max_size=12).map("\n".join),
+        st.lists(_LINES, max_size=6).map(lambda lines: VALID + "\n".join(lines)),
+    )
+)
+def test_parse_config_raises_only_value_errors(text):
+    try:
+        parse_config(text)
+    except ValueError:
+        pass
+
+
+def test_unreadable_kernel_table_is_a_config_error(tmp_path):
+    text = VALID.replace("kernel = exp", f"kernel = table\ntable = {tmp_path}")
+    with pytest.raises(ConfigError, match="kernel table"):
+        parse_config(text)
 
 
 def test_roundtrip():
@@ -123,6 +159,15 @@ def test_selfcheck_passes(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+# files the bad-input cases below read from the working directory
+BAD_INPUT_FILES = {
+    "one_column_atoms.csv": "t,theta\n0.5\n",
+    "one_column_kernel.csv": "t,value\n0\n0.01,0.4\n",
+    "table.cfg": VALID.replace("kernel = exp", "kernel = table\ntable = one_column_kernel.csv"),
+    "no_points.cfg": VALID + "points_per_path = 0\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -130,9 +175,15 @@ def test_selfcheck_passes(capsys):
         ["--paths", "0", "simulate"],
         ["coeff", "--points", "1:0.5,1:0.7"],      # duplicate time
         ["coeff", "--points", "9:0.5"],            # outside the window
+        ["reconstruct", "--atoms", "one_column_atoms.csv"],
+        ["--config", "table.cfg", "simulate"],     # one-column kernel table row
+        ["--config", "no_points.cfg", "--paths", "10", "characterize"],
     ],
 )
-def test_bad_input_exits_with_usage_error(argv, capsys):
+def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from pseudochaos import (
     AtomBudgetExceeded,
     Configuration,
+    Kernel,
     Point,
     TimeCollisionError,
     Window,
@@ -140,6 +141,46 @@ def test_csv_roundtrip(tmp_path):
     assert text.startswith("# rng_key=7,3\n")
     assert text.splitlines()[1] == "t,theta"
     assert read_csv(path, w) == cfg
+
+
+def test_read_csv_names_the_line_of_a_short_row(tmp_path):
+    path = tmp_path / "atoms.csv"
+    path.write_text("# comment\nt,theta\n0.5,1.0\n0.5\n")
+    with pytest.raises(ValueError, match=r"atoms\.csv, line 4"):
+        read_csv(path, Window(T=4.0, M=2.0))
+
+
+_CELL = st.one_of(
+    st.floats(0.0, 5.0).map(repr),
+    st.floats().map(repr),
+    st.text(alphabet=' ,."#-+e0123456789\t\r\nnaif', max_size=8),
+)
+_ROWS = st.lists(st.lists(_CELL, max_size=3).map(",".join), max_size=8)
+
+
+@pytest.mark.parametrize(
+    "header, read",
+    [("t,theta", lambda path: read_csv(path, Window(T=4.0, M=2.0))), ("t,value", Kernel.from_csv)],
+    ids=["read_csv", "Kernel.from_csv"],
+)
+@given(data=st.data())
+def test_csv_readers_raise_only_value_errors(tmp_path_factory, header, read, data):
+    content = data.draw(
+        st.one_of(
+            st.binary(max_size=200),
+            st.text(max_size=200),
+            _ROWS.map(lambda rows: "\n".join([header] + rows)),
+        )
+    )
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    try:
+        read(path)
+    except ValueError:
+        pass
 
 
 def test_restrict_drops_outside_atoms():

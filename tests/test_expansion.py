@@ -97,11 +97,17 @@ def test_coefficient_oracle_worked_examples(count_small, params_small):
     assert coefficient_oracle(count_small, w, pts) == 1.0
 
 
-def test_closed_form_equals_oracle_on_random_queries(count_small, params_small):
+def test_closed_form_equals_oracle_on_random_queries(
+    count_small, params_small, knife_edge_configs
+):
     rng = np.random.default_rng(99)
-    for _ in range(80):
-        k = int(rng.integers(1, 6))
-        pts = random_distinct_points(rng, params_small.window, k)
+    queries = [
+        random_distinct_points(rng, params_small.window, int(rng.integers(1, 6)))
+        for _ in range(80)
+    ]
+    # the full subset of a knife-edge query puts its latest mark on the edge
+    queries += [c.atoms for c in knife_edge_configs if 0 < len(c) <= 6]
+    for pts in queries:
         closed = hawkes_coefficient(params_small, pts)
         brute = coefficient_oracle(count_small, params_small.window, pts)
         assert closed == brute
@@ -164,9 +170,9 @@ def test_reconstruct_shared_equals_direct(params_small):
         assert fast.exact_match and slow.exact_match
 
 
-def test_reconstruct_matches_on_larger_paths(params_small):
-    for i in range(40):
-        source = sample_poisson(params_small.window, (313, i))
+def test_reconstruct_matches_on_larger_paths(params_small, knife_edge_configs):
+    sources = [sample_poisson(params_small.window, (313, i)) for i in range(40)]
+    for i, source in enumerate(sources + knife_edge_configs):
         report = reconstruct(params_small, source)
         assert report.exact_match, (i, report.per_size, report.event_count)
 
@@ -250,6 +256,15 @@ def test_characterization_multiple_point_draws(params_small):
         F, params_small.window, 2, 600, (44, 0), points_per_path=3
     )
     assert report.cumulative.n == 600
+
+
+@pytest.mark.parametrize("j_max, points_per_path", [(0, 1), (2, 0), (2, -1)])
+def test_characterization_rejects_empty_draws(params_small, j_max, points_per_path):
+    F = HawkesCount(params_small)
+    with pytest.raises(ValueError, match="j_max" if j_max < 1 else "points_per_path"):
+        characterization_check(
+            F, params_small.window, j_max, 10, (44, 0), points_per_path=points_per_path
+        )
 
 
 def test_chaotic_coefficient_poisson_is_constant(zero_kernel):

@@ -174,9 +174,10 @@ def test_exact_thinning_requires_monotone_kernel():
         simulate(params, (0, 0), thinning="exact")
 
 
-def test_packed_batch_matches_scalar_solver(params_small):
+def test_packed_batch_matches_scalar_solver(params_small, knife_edge_configs):
     F = HawkesCount(params_small)
     configs = [sample_poisson(params_small.window, (211, i)) for i in range(60)]
+    configs += knife_edge_configs
     width = max(len(c) for c in configs) + 2
     times = np.empty((len(configs), width))
     marks = np.full((len(configs), width), np.inf)

@@ -169,6 +169,10 @@ def test_from_csv_rejects_bad_inputs(tmp_path):
     uneven.write_text("t,value\n0,0.5\n0.5,0.4\n1.5,0.1\n")
     with pytest.raises(ValueError, match="equally spaced"):
         Kernel.from_csv(uneven)
+    short = tmp_path / "c.csv"
+    short.write_text("t,value\n0\n0.01,0.4\n")
+    with pytest.raises(ValueError, match=r"c\.csv, line 2"):
+        Kernel.from_csv(short)
 
 
 def test_monotonicity_flags():
