@@ -51,6 +51,12 @@ _REQUIRED = ("mu", "T", "M", "kernel")
 
 def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines with # comments into a validated RunConfig."""
+    cfg = _read_config(text)
+    validate_config(cfg)
+    return cfg
+
+
+def _read_config(text: str) -> RunConfig:
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,27 +84,24 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("missing key 'table' (required for kernel = table)")
     elif values["kernel"] != "zero":
         raise ConfigError(f"unknown kernel {values['kernel']!r}; pick exp, table or zero")
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
-def validate_config(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig) -> HawkesParams:
+    """Check cfg and return the process it describes; a kernel table is read
+    here, once."""
     if cfg.mu <= 0.0:
         raise ConfigError(f"mu must be > 0, got {cfg.mu}")
-    try:
-        kernel = build_kernel(cfg)
-    except OSError as exc:
-        raise ConfigError(f"cannot read kernel table {cfg.table!r}: {exc}") from exc
-    if kernel.l1_norm >= 1.0:
-        raise StabilityError(
-            f"kernel L1 mass {kernel.l1_norm:.6g} >= 1 "
-            f"(kernel={cfg.kernel}, alpha={cfg.alpha}, beta={cfg.beta})"
-        )
     if cfg.thinning not in ("capped", "exact"):
         raise ConfigError(f"thinning must be 'capped' or 'exact', got {cfg.thinning!r}")
     try:
-        build_params(cfg)
+        return build_params(cfg)
+    except OSError as exc:
+        raise ConfigError(f"cannot read kernel table {cfg.table!r}: {exc}") from exc
+    except StabilityError as exc:
+        raise StabilityError(
+            f"{exc} (kernel={cfg.kernel}, alpha={cfg.alpha}, beta={cfg.beta})"
+        ) from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -124,17 +127,20 @@ def build_params(cfg: RunConfig) -> HawkesParams:
     return HawkesParams(mu=cfg.mu, kernel=build_kernel(cfg), window=Window(T=cfg.T, M=cfg.M))
 
 
-def _load_config(ns) -> RunConfig:
-    if ns.config:
-        cfg = parse_config(Path(ns.config).read_text())
-    else:
-        cfg = RunConfig()
-        validate_config(cfg)
+def _load_config(ns) -> tuple[RunConfig, HawkesParams]:
+    cfg = _read_config(Path(ns.config).read_text()) if ns.config else RunConfig()
+    params = validate_config(cfg)
     if ns.seed is not None:
         cfg.seed = ns.seed
     if ns.paths is not None:
         cfg.n_paths = ns.paths
-    return cfg
+    return cfg, params
+
+
+def _require_band(cfg: RunConfig) -> None:
+    """A 3-se band needs an se, which one path cannot give."""
+    if cfg.n_paths < 2:
+        raise ConfigError(f"n_paths must be >= 2 for a 3-se band check, got {cfg.n_paths}")
 
 
 def _emit(rows, header, out_dir, name):
@@ -174,9 +180,9 @@ def _pm(est: MCEstimate) -> str:
     return f"{est.mean:.5f} +- {se}"
 
 
-def cmd_simulate(cfg: RunConfig, ns) -> int:
+def cmd_simulate(cfg: RunConfig, params: HawkesParams, ns) -> int:
     spec = harness.ExperimentSpec(
-        "hawkes_mean", build_params(cfg), cfg.n_paths, cfg.seed, thinning=cfg.thinning
+        "hawkes_mean", params, cfg.n_paths, cfg.seed, thinning=cfg.thinning
     )
     res = harness.run_experiment(spec, out_dir=ns.out)
     h = res.headline
@@ -185,9 +191,9 @@ def cmd_simulate(cfg: RunConfig, ns) -> int:
     return 0
 
 
-def cmd_expect(cfg: RunConfig, ns) -> int:
-    params = build_params(cfg)
-    ladder = build_ladder(build_kernel(cfg), cfg.h, cfg.T, cfg.n_max)
+def cmd_expect(cfg: RunConfig, params: HawkesParams, ns) -> int:
+    _require_band(cfg)
+    ladder = build_ladder(params.kernel, cfg.h, cfg.T, cfg.n_max)
     ana = harness.expected_count_analytic(params, ladder)
     spec = harness.ExperimentSpec("hawkes_mean", params, cfg.n_paths, cfg.seed, thinning="exact")
     mc = harness.run_experiment(spec, out_dir=ns.out).headline
@@ -198,12 +204,13 @@ def cmd_expect(cfg: RunConfig, ns) -> int:
     return 0 if ok else 1
 
 
-def cmd_coeff(cfg: RunConfig, ns) -> int:
-    params = build_params(cfg)
+def cmd_coeff(cfg: RunConfig, params: HawkesParams, ns) -> int:
     queries = []
     if ns.points:
         queries.append(_parse_points(ns.points))
     if ns.random:
+        if ns.k_max < 1:
+            raise ConfigError(f"--k-max must be >= 1, got {ns.k_max}")
         rng = np.random.default_rng(cfg.seed)
         for _ in range(ns.random):
             k = int(rng.integers(1, ns.k_max + 1))
@@ -224,8 +231,7 @@ def cmd_coeff(cfg: RunConfig, ns) -> int:
     return 0
 
 
-def cmd_reconstruct(cfg: RunConfig, ns) -> int:
-    params = build_params(cfg)
+def cmd_reconstruct(cfg: RunConfig, params: HawkesParams, ns) -> int:
     if ns.atoms:
         source = read_csv(ns.atoms, params.window)
         provenance = ns.atoms
@@ -242,8 +248,8 @@ def cmd_reconstruct(cfg: RunConfig, ns) -> int:
     return 0 if report.exact_match else 1
 
 
-def cmd_branching(cfg: RunConfig, ns) -> int:
-    spec = harness.ExperimentSpec("histogram", build_params(cfg), cfg.n_paths, cfg.seed)
+def cmd_branching(cfg: RunConfig, params: HawkesParams, ns) -> int:
+    spec = harness.ExperimentSpec("histogram", params, cfg.n_paths, cfg.seed)
     res = harness.run_experiment(spec, out_dir=ns.out)
     total = res.extra["total_mean"]
     print(f"mean value at horizon: {_pm(total)}")
@@ -251,8 +257,8 @@ def cmd_branching(cfg: RunConfig, ns) -> int:
     return 0
 
 
-def cmd_characterize(cfg: RunConfig, ns) -> int:
-    params = build_params(cfg)
+def cmd_characterize(cfg: RunConfig, params: HawkesParams, ns) -> int:
+    _require_band(cfg)
     report = expansion.characterization_check(
         HawkesCount(params), params.window, cfg.j_max, cfg.n_paths,
         (cfg.seed, 0), points_per_path=cfg.points_per_path,
@@ -268,8 +274,8 @@ def cmd_characterize(cfg: RunConfig, ns) -> int:
     return 0 if ok else 1
 
 
-def cmd_ipp(cfg: RunConfig, ns) -> int:
-    params = build_params(cfg)
+def cmd_ipp(cfg: RunConfig, params: HawkesParams, ns) -> int:
+    _require_band(cfg)
     window = params.window
     cases = [
         ("hawkes_count", HawkesCount(params)),
@@ -288,7 +294,7 @@ def cmd_ipp(cfg: RunConfig, ns) -> int:
     return 0 if ok else 1
 
 
-def cmd_selfcheck(cfg: RunConfig, ns) -> int:
+def cmd_selfcheck(cfg: RunConfig, params: HawkesParams, ns) -> int:
     results = harness.selfcheck(seed=cfg.seed)
     failed = 0
     for r in results:
@@ -334,8 +340,8 @@ def build_argparser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_argparser().parse_args(argv)
     try:
-        cfg = _load_config(ns)
-        return _COMMANDS[ns.command](cfg, ns)
+        cfg, params = _load_config(ns)
+        return _COMMANDS[ns.command](cfg, params, ns)
     except (ValueError, AtomBudgetExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +12,7 @@ from pseudochaos.cli import (
     parse_config,
     serialize_config,
 )
-from pseudochaos.kernels import StabilityError
+from pseudochaos.kernels import Kernel, StabilityError
 
 VALID = "mu = 1.0\nT = 5\nM = 4\nkernel = exp\nalpha = 0.5\nbeta = 1.0\nseed = 7\n"
 
@@ -178,6 +179,10 @@ BAD_INPUT_FILES = {
         ["reconstruct", "--atoms", "one_column_atoms.csv"],
         ["--config", "table.cfg", "simulate"],     # one-column kernel table row
         ["--config", "no_points.cfg", "--paths", "10", "characterize"],
+        ["--paths", "1", "characterize"],          # one path has no se to band
+        ["--paths", "1", "ipp"],
+        ["--paths", "1", "expect"],
+        ["coeff", "--random", "2", "--k-max", "0"],
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -194,3 +199,35 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
 def test_single_path_prints_missing_se(command, capsys):
     assert main(["--paths", "1", command]) == 0
     assert "+- n/a" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--paths", "1", "ipp"], "n_paths must be >= 2"),
+        (["coeff", "--random", "2", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+    ],
+)
+def test_usage_error_names_the_setting(argv, named, capsys):
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "expect"])
+def test_kernel_table_is_read_once_per_run(command, tmp_path, monkeypatch, capsys):
+    table = tmp_path / "kernel.csv"
+    grid = 0.01 * np.arange(801)
+    rows = [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), (0.5 * np.exp(-grid)).tolist())]
+    table.write_text("t,value\n" + "\n".join(rows) + "\n")
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(VALID.replace("kernel = exp", f"kernel = table\ntable = {table}"))
+    reads = []
+    from_csv = Kernel.from_csv.__func__
+
+    def counting_from_csv(cls, path):
+        reads.append(path)
+        return from_csv(cls, path)
+
+    monkeypatch.setattr(Kernel, "from_csv", classmethod(counting_from_csv))
+    assert main(["--config", str(cfg), "--paths", "200", command]) == 0
+    assert len(reads) == 1

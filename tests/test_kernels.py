@@ -115,6 +115,47 @@ def test_resolvent_l1_quarter_kernel_against_quadrature():
     assert ladder.resolvent_l1() == pytest.approx(oracle, abs=1e-3)
 
 
+def direct_ladder_levels(kernel, step, horizon, n_max):
+    """The trapezoid recursion by direct O(N^2) convolution: the reference the
+    FFT ladder must reproduce to rounding."""
+    n_nodes = int(np.ceil(horizon / step)) + 1
+    phi = np.asarray(kernel(step * np.arange(n_nodes)), dtype=float)
+    levels = np.empty((n_max, n_nodes))
+    levels[0] = phi
+    for n in range(1, n_max):
+        prev = levels[n - 1]
+        conv = np.convolve(phi, prev)[:n_nodes]
+        levels[n] = step * (conv - 0.5 * (phi * prev[0] + phi[0] * prev))
+    return levels
+
+
+# 0.5 e^{-t} sampled at step 0.01 on [0, 8]: 801 nodes
+TABLE_801 = Kernel.from_table(0.01, 0.5 * np.exp(-0.01 * np.arange(801)))
+
+
+@pytest.mark.parametrize(
+    "kernel, step, horizon, n_max",
+    [
+        (EXP, 0.01, 5.0, 40),
+        (TABLE_801, 0.01, 10.0, 40),
+        (Kernel.from_table(0.25, [0.5, 0.45, 0.3, 0.3, 0.1, 0.0]), 0.01, 4.0, 12),
+        (EXP, 0.01, 3.337, 20),         # horizon off the grid: 335 nodes
+        (EXP, 0.05, 0.05, 6),           # two nodes
+        (EXP, 0.01, 5.0, 1),
+        (Kernel.zero(), 0.05, 10.0, 10),
+    ],
+    ids=["exp", "table801", "table_support_inside", "odd_nodes", "two_nodes", "n_max_1", "zero"],
+)
+def test_ladder_matches_direct_recursion(kernel, step, horizon, n_max):
+    ladder = build_ladder(kernel, step, horizon, n_max)
+    direct = direct_ladder_levels(kernel, step, horizon, n_max)
+    assert ladder.levels.shape == direct.shape
+    assert np.max(np.abs(ladder.levels - direct)) <= 1e-14
+    assert np.max(np.abs(ladder.resolvent - direct.sum(axis=0))) <= 1e-14
+    if kernel.l1_norm == 0.0:
+        assert np.all(ladder.resolvent == 0.0)
+
+
 def test_ladder_rejects_unstable_and_bad_step():
     with pytest.raises(StabilityError):
         build_ladder(Kernel.exponential(1.5, 1.0), 0.01, 10.0)
