@@ -45,7 +45,7 @@ def chain_counts(params: HawkesParams, source: Configuration) -> np.ndarray:
     for i in range(n):
         c = np.int64(marks[i] <= mu)
         if i:
-            links = marks[i] <= kernel(times[i] - times[:i])
+            links = marks[i] <= kernel._eval(times[i] - times[:i])
             c += (links * counts[:i]).sum()
         counts[i] = c
     return counts
@@ -61,7 +61,7 @@ def chain_length_totals(params: HawkesParams, source: Configuration) -> np.ndarr
         return np.zeros(0, dtype=np.int64)
     links = np.zeros((n, n), dtype=np.int64)
     for i in range(1, n):
-        links[i, :i] = marks[i] <= params.kernel(times[i] - times[:i])
+        links[i, :i] = marks[i] <= params.kernel._eval(times[i] - times[:i])
     v = (marks <= params.mu).astype(np.int64)
     totals = [v.sum()]
     for _ in range(1, n):
@@ -102,14 +102,14 @@ class BranchingPath:
         """mu plus the kernel-weighted chain counts of atoms strictly before t."""
         times = self.source.times
         cut = int(np.searchsorted(times, t, side="left"))
-        row = self.params.kernel(t - times[:cut]).tolist() if cut else ()
+        row = self.params.kernel._eval(t - times[:cut]).tolist() if cut else ()
         return float(_intensity(self.params.mu, row, self.counts))
 
     @cached_property
     def compensator(self) -> float:
         """Exact integral of the intensity over [0, T] via kernel primitives."""
         T, mu = self.params.window.T, self.params.mu
-        tail = self.params.kernel.partial_integral(T - self.source.times)
+        tail = self.params.kernel._partial(T - self.source.times)
         return mu * T + float((np.asarray(self.counts) * tail).sum())
 
     @property
@@ -200,8 +200,7 @@ def conditional_residual(
             forward_jump = counts[after].sum()
             lower = np.maximum(s - merged.times, 0.0)
             forward_comp = mu * (T - s) + float(
-                (counts * (kernel.partial_integral(T - merged.times)
-                           - kernel.partial_integral(lower))).sum()
+                (counts * (kernel._partial(T - merged.times) - kernel._partial(lower))).sum()
             )
             vals[c] = forward_jump - forward_comp
         prefix_means[p] = vals.mean()

@@ -119,7 +119,7 @@ def _coefficient_table(params: HawkesParams, config: Configuration) -> np.ndarra
     active = np.zeros(1, dtype=np.int64)
     sizes = np.zeros(1, dtype=np.int64)
     for i in range(n):
-        row = kernel(times[i] - times[:i]) if i else ()
+        row = kernel._eval(times[i] - times[:i]) if i else ()
         bits = ((active >> j) & 1 for j in range(i))
         ind = marks[i] <= _intensity(np.full(1 << i, mu), row, bits)
         active = np.concatenate([active, active | (np.int64(1 << i) * ind)])

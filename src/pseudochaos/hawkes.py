@@ -57,7 +57,7 @@ def _sweep(mu: float, kernel: Kernel, times: np.ndarray, marks: np.ndarray):
     previously accepted atoms."""
     mu, intensities, accepted = float(mu), [], []
     for i, mark in enumerate(marks.tolist()):
-        row = kernel(times[i] - times[:i]).tolist() if i else ()
+        row = kernel._eval(times[i] - times[:i]).tolist() if i else ()
         lam = _intensity(mu, row, accepted)
         intensities.append(lam)
         accepted.append(mark <= lam)
@@ -106,7 +106,7 @@ def intensity_on_configuration(params: HawkesParams, fixed: Configuration, t: fl
     times = fixed.times
     cut = int(np.searchsorted(times, t, side="left"))
     _, accepted = _sweep(params.mu, params.kernel, times[:cut], fixed.marks[:cut])
-    row = params.kernel(t - times[:cut]).tolist() if cut else ()
+    row = params.kernel._eval(t - times[:cut]).tolist() if cut else ()
     return float(_intensity(params.mu, row, accepted))
 
 
@@ -137,7 +137,7 @@ def simulate(params: HawkesParams, rng_key: RngKey, thinning: str = "capped") ->
 
     def intensity(t: float) -> float:
         # the same full-prefix evaluation the path solver redoes on the source
-        row = kernel(t - np.asarray(cand_t)).tolist() if cand_t else ()
+        row = kernel._eval(t - np.asarray(cand_t)).tolist() if cand_t else ()
         return _intensity(mu, row, accepted)
 
     t_cur = 0.0
@@ -186,6 +186,6 @@ class HawkesCount(Functional):
         inside &= np.arange(width)[:, None] < n_valid
         accepted = np.zeros((width, n_rows), dtype=bool)
         for i in range(width):
-            vals = kernel(np.maximum(times[i] - times[:i], 0.0)) if i else ()
+            vals = kernel._eval(np.maximum(times[i] - times[:i], 0.0)) if i else ()
             accepted[i] = inside[i] & (marks[i] <= _intensity(mu, vals, accepted[:i]))
         return accepted.sum(axis=0).astype(float)

@@ -34,6 +34,15 @@ def _as_nonnegative_times(t):
 
 @dataclass(frozen=True)
 class Kernel:
+    """An excitation kernel; the frozen fields are its whole identity.
+
+    The public entry points ``__call__`` and ``partial_integral`` refuse a
+    negative time with ValueError. The sweeps inside the package evaluate
+    differences that are nonnegative by construction, so they call the
+    unguarded ``_eval`` and ``_partial`` instead; both read the table's grid,
+    values and node integrals from cached arrays built once per kernel.
+    """
+
     family: str
     alpha: float = 0.0
     beta: float = 1.0
@@ -87,36 +96,49 @@ class Kernel:
 
     def __call__(self, t):
         """Kernel value at t >= 0; accepts scalars or arrays."""
-        arr = _as_nonnegative_times(t)
+        out = self._eval(_as_nonnegative_times(t))
+        return out if out.ndim else float(out)
+
+    def _eval(self, arr: np.ndarray) -> np.ndarray:
+        """Unguarded kernel values on a float array of times known to be >= 0."""
         if self.family == "exponential":
-            out = self.alpha * np.exp(-self.beta * arr)
-        else:
-            grid = self.step * np.arange(len(self.values))
-            out = np.interp(arr, grid, self.values, right=0.0)
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+            return self.alpha * np.exp(-self.beta * arr)
+        return np.interp(arr, self._grid, self._values, right=0.0)
 
     def partial_integral(self, s):
         """Integral of the kernel over [0, s]; nondecreasing with limit l1_norm."""
-        arr = _as_nonnegative_times(s)
-        if self.family == "exponential":
-            out = (self.alpha / self.beta) * (1.0 - np.exp(-self.beta * arr))
-        else:
-            out = self._table_partial(arr)
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+        out = self._partial(_as_nonnegative_times(s))
+        return out if out.ndim else float(out)
 
-    def _table_partial(self, arr):
-        v = np.asarray(self.values)
+    def _partial(self, arr: np.ndarray) -> np.ndarray:
+        """Unguarded partial integrals on a float array of times known to be >= 0."""
+        if self.family == "exponential":
+            return (self.alpha / self.beta) * (1.0 - np.exp(-self.beta * arr))
+        v, h = self._values, self.step
         if len(v) == 1:
             return np.zeros_like(arr)
-        h = self.step
         support = h * (len(v) - 1)
-        # exact integral of the piecewise-linear interpolant
-        node_cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * h)])
         clipped = np.minimum(arr, support)
         idx = np.minimum((clipped / h).astype(int), len(v) - 2)
         d = clipped - idx * h
         slope = (v[idx + 1] - v[idx]) / h
-        return node_cum[idx] + v[idx] * d + 0.5 * slope * d * d
+        return self._node_cum[idx] + v[idx] * d + 0.5 * slope * d * d
+
+    # -- cached table arrays (not dataclass fields: asdict and eq ignore them)
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        return np.asarray(self.values, dtype=float)
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        return self.step * np.arange(len(self.values))
+
+    @cached_property
+    def _node_cum(self) -> np.ndarray:
+        """Exact integral of the piecewise-linear interpolant up to each node."""
+        v, h = self._values, self.step
+        return np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * h)])
 
     # -- summary quantities -------------------------------------------------
 
@@ -204,7 +226,7 @@ def build_ladder(kernel: Kernel, step: float, horizon: float, n_max: int = 40) -
 
     n_nodes = int(np.ceil(horizon / step)) + 1
     grid = step * np.arange(n_nodes)
-    phi = np.asarray(kernel(grid), dtype=float)
+    phi = kernel._eval(grid)
 
     levels = np.empty((n_max, n_nodes))
     levels[0] = phi

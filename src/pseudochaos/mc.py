@@ -34,6 +34,11 @@ class MCEstimate:
         return cls(n=int(x.size), mean=float(np.mean(x)), se=se, seed=seed)
 
     def within(self, target: float, n_se: float = 3.0, slack: float = 0.0) -> bool:
-        """|mean - target| <= n_se * se + slack, treating a missing se as zero width."""
-        half_width = slack if self.se is None else n_se * self.se + slack
-        return abs(self.mean - target) <= half_width
+        """|mean - target| <= n_se * se + slack. A one-sample estimate has no
+        se and hence no band, so it raises ValueError."""
+        if self.se is None:
+            raise ValueError(
+                f"a one-sample estimate (n={self.n}) has no standard error; "
+                "a band check needs n >= 2"
+            )
+        return abs(self.mean - target) <= n_se * self.se + slack

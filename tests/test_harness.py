@@ -7,9 +7,12 @@ from pseudochaos import (
     ExperimentSpec,
     HawkesParams,
     Kernel,
+    MCEstimate,
+    RectangleCount,
     Window,
     build_ladder,
     expected_count_analytic,
+    ipp_check_order1,
     jump_size_histogram,
     martingale_residual,
     reconstruction_audit,
@@ -95,6 +98,24 @@ def test_chain_reports_match_runner(params_default):
 def test_single_path_has_no_standard_error(params_default):
     spec = ExperimentSpec("hawkes_mean", params_default, 1, seed=7)
     assert run_experiment(spec).headline.se is None
+
+
+def test_band_check_refuses_a_one_sample_estimate():
+    w = Window(T=2.0, M=2.0)
+    diff = ipp_check_order1(RectangleCount(w), w, 1, (7, 0)).diff
+    assert diff.n == 1 and diff.se is None
+    with pytest.raises(ValueError, match="one-sample estimate"):
+        diff.within(0.0)
+    with pytest.raises(ValueError, match="one-sample estimate"):
+        MCEstimate.from_samples([3.0]).within(3.0, slack=1.0)
+
+
+def test_band_check_with_zero_se_is_a_point_band():
+    est = MCEstimate.from_samples([2.0, 2.0, 2.0])
+    assert est.se == 0.0
+    assert est.within(2.0)
+    assert not est.within(2.5)
+    assert est.within(2.5, slack=0.5)
 
 
 def test_se_halves_when_paths_quadruple(params_default):

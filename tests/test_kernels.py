@@ -1,12 +1,39 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pseudochaos import Kernel, StabilityError, build_ladder
+from pseudochaos import (
+    ExperimentSpec,
+    HawkesParams,
+    Kernel,
+    Point,
+    StabilityError,
+    Window,
+    branching_path,
+    build_ladder,
+    chain_length_totals,
+    conditional_residual,
+    hawkes_coefficient,
+    reconstruct,
+    run_experiment,
+    sample_poisson,
+)
+from pseudochaos import kernels
 
 EXP = Kernel.exponential(0.5, 1.0)
+# the 801-node table the CLI tests and the benchmark use: 0.5 e^{-t}, step 0.01
+TABLE_801 = Kernel.from_table(0.01, (0.5 * np.exp(-0.01 * np.arange(801))).tolist())
+ONE_NODE = Kernel.from_table(0.1, [0.3])
+FAST_PATH_KERNELS = {
+    "exp": EXP,
+    "table801": TABLE_801,
+    "one_node": ONE_NODE,
+    "table5": Kernel.from_table(0.25, [0.5, 0.45, 0.3, 0.1, 0.0]),
+}
 
 # analytic oracles for the exponential family: the n-fold self-convolution is
 # a^n t^(n-1) e^(-b t) / (n-1)!, and the resolvent sums to a e^(-(b-a) t)
@@ -220,3 +247,105 @@ def test_monotonicity_flags():
     assert EXP.is_nonincreasing
     assert Kernel.from_table(0.5, [0.5, 0.3, 0.1]).is_nonincreasing
     assert not Kernel.from_table(0.5, [0.1, 0.3, 0.2]).is_nonincreasing
+
+
+# -- the unguarded fast path ----------------------------------------------
+
+
+def uncached_partial(kernel, arr):
+    """The partial integral as written before the table arrays were cached."""
+    if kernel.family == "exponential":
+        return (kernel.alpha / kernel.beta) * (1.0 - np.exp(-kernel.beta * arr))
+    v = np.asarray(kernel.values)
+    if len(v) == 1:
+        return np.zeros_like(arr)
+    h = kernel.step
+    support = h * (len(v) - 1)
+    node_cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * h)])
+    clipped = np.minimum(arr, support)
+    idx = np.minimum((clipped / h).astype(int), len(v) - 2)
+    d = clipped - idx * h
+    slope = (v[idx + 1] - v[idx]) / h
+    return node_cum[idx] + v[idx] * d + 0.5 * slope * d * d
+
+
+def random_times(seed):
+    """1e5 times reaching past every test table's support, plus the nodes'
+    edge cases: zero, the last nodes of the test tables, and either side of 8."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, 1.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0)]
+    return np.concatenate([edges, rng.uniform(0.0, 12.0, 100_000)])
+
+
+@pytest.mark.parametrize("kernel", FAST_PATH_KERNELS.values(), ids=FAST_PATH_KERNELS.keys())
+def test_unguarded_eval_equals_the_public_call_bit_for_bit(kernel):
+    t = random_times(1)
+    assert np.array_equal(kernel._eval(t), kernel(t))
+    assert isinstance(kernel(0.5), float) and kernel(0.5) == kernel._eval(np.array([0.5]))[0]
+    beyond = t[t > kernel.step * (len(kernel.values) - 1)]
+    if kernel.family == "table":
+        assert not kernel._eval(beyond).any()
+
+
+@pytest.mark.parametrize("kernel", FAST_PATH_KERNELS.values(), ids=FAST_PATH_KERNELS.keys())
+def test_partial_integral_equals_the_uncached_formula_bit_for_bit(kernel):
+    t = random_times(2)
+    assert np.array_equal(kernel.partial_integral(t), uncached_partial(kernel, t))
+    assert np.array_equal(kernel._partial(t), uncached_partial(kernel, t))
+    assert kernel.partial_integral(0.7) == float(uncached_partial(kernel, np.asarray(0.7)))
+
+
+@pytest.mark.parametrize("kernel", FAST_PATH_KERNELS.values(), ids=FAST_PATH_KERNELS.keys())
+def test_public_entry_points_still_refuse_negative_times(kernel):
+    for bad in (-0.5, np.array([0.5, -1e-300])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel(bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel.partial_integral(bad)
+
+
+def test_cached_arrays_leave_the_kernel_echo_equality_and_pickle_unchanged():
+    table = Kernel.from_table(0.01, TABLE_801.values)
+    echo = dataclasses.asdict(table)
+    assert set(echo) == {"family", "alpha", "beta", "step", "values"}
+    table(np.array([0.5]))
+    table.partial_integral(3.0)
+    build_ladder(table, 0.05, 2.0, n_max=3)
+    assert dataclasses.asdict(table) == echo
+    assert table == TABLE_801 and hash(table) == hash(TABLE_801)
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone == table
+    t = random_times(3)
+    assert np.array_equal(clone(t), table(t))
+    assert np.array_equal(clone.partial_integral(t), table.partial_integral(t))
+
+
+def test_internal_callers_never_run_the_negative_time_guard(tmp_path, monkeypatch):
+    """Every sweep evaluates nonnegative differences, so the statistics, the
+    chain process, the reconstruction and the coefficients go through the
+    unguarded evaluators."""
+    calls = []
+    guard = kernels._as_nonnegative_times
+
+    def counting_guard(t):
+        calls.append(np.size(t))
+        return guard(t)
+
+    monkeypatch.setattr(kernels, "_as_nonnegative_times", counting_guard)
+    params = HawkesParams(mu=1.0, kernel=TABLE_801, window=Window(T=4.0, M=3.0))
+    runs = [("hawkes_mean", "capped"), ("hawkes_mean", "exact"), ("residual", "capped"),
+            ("histogram", "capped"), ("reconstruction", "capped"), ("ipp", "capped"),
+            ("characterization", "capped")]
+    for statistic, thinning in runs:
+        spec = ExperimentSpec(statistic, params, 20, seed=5, thinning=thinning)
+        run_experiment(spec, out_dir=tmp_path / f"{statistic}-{thinning}")
+    source = sample_poisson(params.window, (5, 0))
+    assert reconstruct(params, source).exact_match
+    chain_length_totals(params, source)
+    branching_path(params, source).intensity(2.0)
+    conditional_residual(params, 2, 2, (5, 0))
+    hawkes_coefficient(params, [Point(0.5, 0.7), Point(1.2, 1.1), Point(2.0, 0.9)])
+    build_ladder(TABLE_801, 0.01, 4.0)
+    assert calls == []
+    TABLE_801(1.0)
+    assert calls == [1]
