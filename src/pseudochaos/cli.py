@@ -226,7 +226,8 @@ def cmd_coeff(cfg: RunConfig, params: HawkesParams, ns) -> int:
         for p in sorted(q, key=lambda p: p.t):
             flat += [p.t, p.theta]
         flat += [""] * (2 * k_top - len(flat))
-        rows.append([len(q)] + flat + [expansion.hawkes_coefficient(params, q)])
+        c_k = expansion.hawkes_coefficient(params, q, budget=cfg.budget)
+        rows.append([len(q)] + flat + [c_k])
     _emit(rows, header, ns.out, "coefficients.csv")
     return 0
 

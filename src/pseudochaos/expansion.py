@@ -13,7 +13,6 @@ the event count exactly, atom for atom.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +28,7 @@ from .configurations import (
     Window,
     sample_poisson,
 )
-from .hawkes import HawkesCount, HawkesParams, _intensity, intensity_on_configuration, solve_path
+from .hawkes import HawkesCount, HawkesParams, _intensity, solve_path
 from .malliavin import Functional, iterated_difference
 from .mc import MCEstimate, RngKey, rng_from_key
 
@@ -59,7 +58,10 @@ def hawkes_coefficient(
     """Closed-form expansion coefficient of the Hawkes event count.
 
     Symmetric in the points (they are time sorted internally); always an
-    integer, and in {0, 1} for a single point.
+    integer, and in {0, 1} for a single point. It is the last row of the
+    subset table (`_size_histograms`): with h[s] the number of size-s subsets
+    of the earlier points on which the latest is accepted,
+    c_k = sum_s (-1)^(k-1-s) h[s]. Cost O(2^k).
     """
     pts = _validate_points(params.window, points)
     k = len(pts)
@@ -68,14 +70,10 @@ def hawkes_coefficient(
     last = pts[-1]
     if k == 1:
         return int(last.theta <= params.mu)
-    total = 0
-    for size in range(k):
-        sign = (-1) ** (k - 1 - size)
-        for combo in itertools.combinations(pts[:-1], size):
-            sub = Configuration(window=params.window, atoms=combo)
-            lam = intensity_on_configuration(params, sub, last.t)
-            total += sign * int(last.theta <= lam)
-    return total
+    times = np.array([p.t for p in pts])
+    marks = np.array([p.theta for p in pts])
+    *_, h = _size_histograms(params, times, marks)
+    return sum((-1) ** (k - 1 - s) * count for s, count in enumerate(h))
 
 
 def coefficient_oracle(
@@ -100,73 +98,69 @@ class ReconstructionReport:
     exact_match: bool
 
 
-def _coefficient_table(params: HawkesParams, config: Configuration) -> np.ndarray:
-    """Sum of c_k over all size-k subsets for every k, sharing triangular
-    solves across subsets.
+def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray):
+    """For each atom i in time order, yield h with h[s] the number of size-s
+    subsets of atoms 0..i-1 on whose sub-configuration atom i is accepted.
 
     Atoms are time sorted, so the subsets of atoms strictly before atom i are
-    exactly the bitmasks below 2**i. active[mask] carries which atoms the
-    triangular solve accepts on sub-configuration `mask`; the alternating
-    subset sum of the acceptance indicator of atom i over those masks is the
-    coefficient of mask + {i}. `_intensity` adds up the intensities of all
-    masks, weighting atom j by its bit (bit columns are made one at a time),
-    so every indicator decision is bitwise identical to solve_path's.
+    exactly the bitmasks below 2**i. Atom i's intensities over those masks are
+    built by doubling: a mask with top bit j is m + 2**j with m < 2**j, so
+    lam_i[m + 2**j] = lam_i[m] + phi(t_i - t_j) * ind_j[m], where ind_j is
+    atom j's acceptance indicator over its own masks. Each step is one
+    `_intensity` call, so every mask still gets mu plus its accepted atoms'
+    terms in ascending time order, and every indicator decision is bitwise
+    identical to solve_path's. Cost O(2^n) in all.
+    """
+    n = len(times)
+    half = 1 << max(n - 1, 0)
+    lam = np.empty(half)
+    sizes = np.zeros(half, dtype=np.uint8)   # popcount of every mask
+    for j in range(n - 1):
+        sizes[1 << j : 2 << j] = sizes[: 1 << j] + 1
+    inds = []
+    for i in range(n):
+        row = params.kernel._eval(times[i] - times[:i]) if i else ()
+        lam[0] = params.mu
+        for j in range(i):
+            lo, hi = 1 << j, 2 << j
+            lam[lo:hi] = lam[:lo]
+            _intensity(lam[lo:hi], (row[j],), (inds[j],))
+        ind = marks[i] <= lam[: 1 << i]
+        inds.append(ind)
+        yield np.bincount(sizes[: 1 << i][ind], minlength=i + 1).tolist()
+
+
+def _coefficient_table(params: HawkesParams, config: Configuration) -> list[int]:
+    """Sum of c_k over all size-k subsets for every k = 1..n (list index
+    k - 1), in O(2^n).
+
+    The coefficient of mask + {i} is the alternating sum of atom i's
+    acceptance indicator over the submasks of mask, so an accepted size-s
+    submask counts once in each of its C(i-s, a-s) size-a supersets, with
+    sign (-1)^(a-s): atom i adds sum_s (-1)^(a-s) C(i-s, a-s) h[s] to the
+    size-(a+1) sum, in exact integers.
     """
     n = len(config)
-    times, marks = config.times, config.marks
-    mu, kernel = params.mu, params.kernel
-    per_size = np.zeros(n + 1)
-    active = np.zeros(1, dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int64)
-    for i in range(n):
-        row = kernel._eval(times[i] - times[:i]) if i else ()
-        bits = ((active >> j) & 1 for j in range(i))
-        ind = marks[i] <= _intensity(np.full(1 << i, mu), row, bits)
-        active = np.concatenate([active, active | (np.int64(1 << i) * ind)])
-        g = ind.astype(np.int64)
-        for b in range(i):
-            blocks = g.reshape(-1, 2, 1 << b)
-            blocks[:, 1, :] -= blocks[:, 0, :]
-            g = blocks.reshape(-1)
-        per_size += np.bincount(sizes + 1, weights=g, minlength=n + 1)
-        sizes = np.concatenate([sizes, sizes + 1])
-    return per_size[1:]
+    signed = [[(-1) ** b * math.comb(m, b) for b in range(m + 1)] for m in range(n)]
+    per_size = [0] * n
+    for i, h in enumerate(_size_histograms(params, config.times, config.marks)):
+        for s, count in enumerate(h):
+            for a, weight in enumerate(signed[i - s], s):
+                per_size[a] += weight * count
+    return per_size
 
 
 def reconstruct(
     params: HawkesParams,
     source: Configuration,
     budget: int = DEFAULT_ATOM_BUDGET,
-    method: str = "shared",
 ) -> ReconstructionReport:
     """Evaluate the full expansion on a configuration and compare it with the
-    path solver's event count.
-
-    method="shared" reuses triangular solves across subsets; method="direct"
-    calls hawkes_coefficient on every subset. Both produce identical reports;
-    the direct route exists as the plain-reading cross-check.
-    """
+    path solver's event count."""
     n = len(source)
     if n > budget:
         raise AtomBudgetExceeded(n, budget)
-    if method == "shared":
-        sums = _coefficient_table(params, source)
-        per_size = tuple(int(round(v)) for v in sums)
-    elif method == "direct":
-        # coefficient queries validate against the params window; lift it when
-        # the source lives on a larger one (exact-thinning candidates may)
-        query_params = params
-        if source.window != params.window:
-            query_params = HawkesParams(
-                mu=params.mu, kernel=params.kernel, window=source.window
-            )
-        acc = [0] * n
-        for k in range(1, n + 1):
-            for combo in itertools.combinations(source.atoms, k):
-                acc[k - 1] += hawkes_coefficient(query_params, combo, budget=budget)
-        per_size = tuple(acc)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    per_size = tuple(_coefficient_table(params, source))
     total = sum(per_size)
     event_count = solve_path(params, source).event_count
     return ReconstructionReport(

@@ -34,18 +34,25 @@ def params_default(exp_kernel):
 
 
 @pytest.fixture(scope="session")
-def knife_edge_configs(params_small):
-    """Configurations whose every mark equals the intensity the sweep computes
-    at its atom, so every atom is accepted with no margin at all: an evaluator
-    that rounds one intensity sum differently from the sweep flips a decision.
-    Each keeps the longest prefix whose marks fit under the mark ceiling (a
-    prefix of such a configuration is one too)."""
-    window = params_small.window
+def table_kernel():
+    """0.5 e^{-t} sampled at step 0.01 on [0, 8]: the 801-node table the CLI
+    tests and the benchmark use."""
+    return Kernel.from_table(0.01, (0.5 * np.exp(-0.01 * np.arange(801))).tolist())
+
+
+@pytest.fixture(scope="session")
+def params_small_table(table_kernel):
+    """params_small with the 801-node table kernel."""
+    return HawkesParams(mu=1.0, kernel=table_kernel, window=Window(T=3.0, M=2.0))
+
+
+def _knife_edge(params):
+    window = params.window
     configs = []
     for i in range(200):
         times = sample_poisson(window, (401, i)).times
         # zero marks accept every atom, so the intensities are the full sums
-        lams, _ = _sweep(params_small.mu, params_small.kernel, times, np.zeros(len(times)))
+        lams, _ = _sweep(params.mu, params.kernel, times, np.zeros(len(times)))
         atoms = []
         for t, lam in zip(times.tolist(), lams):
             if lam > window.M:
@@ -53,3 +60,20 @@ def knife_edge_configs(params_small):
             atoms.append(Point(t, lam))
         configs.append(Configuration(window, tuple(atoms)))
     return configs
+
+
+@pytest.fixture(scope="session")
+def knife_edge_configs(params_small):
+    """Configurations whose every mark equals the intensity the sweep computes
+    at its atom, so every atom is accepted with no margin at all: an evaluator
+    that rounds one intensity sum differently from the sweep flips a decision.
+    Each keeps the longest prefix whose marks fit under the mark ceiling (a
+    prefix of such a configuration is one too)."""
+    return _knife_edge(params_small)
+
+
+@pytest.fixture(scope="session")
+def knife_edge_configs_table(params_small_table):
+    """The knife-edge configurations of `knife_edge_configs`, built with the
+    801-node table kernel."""
+    return _knife_edge(params_small_table)

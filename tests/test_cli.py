@@ -166,6 +166,7 @@ BAD_INPUT_FILES = {
     "one_column_kernel.csv": "t,value\n0\n0.01,0.4\n",
     "table.cfg": VALID.replace("kernel = exp", "kernel = table\ntable = one_column_kernel.csv"),
     "no_points.cfg": VALID + "points_per_path = 0\n",
+    "budget2.cfg": VALID + "budget = 2\n",
 }
 
 
@@ -183,6 +184,8 @@ BAD_INPUT_FILES = {
         ["--paths", "1", "ipp"],
         ["--paths", "1", "expect"],
         ["coeff", "--random", "2", "--k-max", "0"],
+        # five points need a budget of 4 earlier atoms
+        ["--config", "budget2.cfg", "coeff", "--points", "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"],
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,10 +22,52 @@ from pseudochaos import (
     sample_poisson,
     solve_path,
 )
+from pseudochaos.expansion import _coefficient_table
 from pseudochaos.harness import random_distinct_points
+from pseudochaos.hawkes import _intensity
 from pseudochaos.malliavin import RectangleCount
 
 PHI_AT_1 = 0.5 * math.exp(-1.0)
+
+
+def reconstruct_direct(params, source):
+    """The plain reading of the reconstruction identity: per-size sums of
+    hawkes_coefficient over every atom subset, one query per subset."""
+    # coefficient queries validate against the params window; lift it when
+    # the source lives on a larger one (exact-thinning candidates may)
+    if source.window != params.window:
+        params = HawkesParams(mu=params.mu, kernel=params.kernel, window=source.window)
+    per_size = [0] * len(source)
+    for k in range(1, len(source) + 1):
+        for combo in itertools.combinations(source.atoms, k):
+            per_size[k - 1] += hawkes_coefficient(params, combo)
+    return tuple(per_size)
+
+
+def coefficient_table_by_passes(params, config):
+    """The O(n 2^n) table the subset-doubling one replaced: one pass per
+    earlier atom over all masks for the intensities (active[mask] carries
+    which atoms the triangular solve accepts on `mask`), and one per bit for
+    the Moebius sums."""
+    n = len(config)
+    times, marks = config.times, config.marks
+    mu, kernel = params.mu, params.kernel
+    per_size = np.zeros(n + 1)
+    active = np.zeros(1, dtype=np.int64)
+    sizes = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        row = kernel._eval(times[i] - times[:i]) if i else ()
+        bits = ((active >> j) & 1 for j in range(i))
+        ind = marks[i] <= _intensity(np.full(1 << i, mu), row, bits)
+        active = np.concatenate([active, active | (np.int64(1 << i) * ind)])
+        g = ind.astype(np.int64)
+        for b in range(i):
+            blocks = g.reshape(-1, 2, 1 << b)
+            blocks[:, 1, :] -= blocks[:, 0, :]
+            g = blocks.reshape(-1)
+        per_size += np.bincount(sizes + 1, weights=g, minlength=n + 1)
+        sizes = np.concatenate([sizes, sizes + 1])
+    return [int(round(v)) for v in per_size[1:]]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +141,7 @@ def test_coefficient_oracle_worked_examples(count_small, params_small):
 
 
 def test_closed_form_equals_oracle_on_random_queries(
-    count_small, params_small, knife_edge_configs
+    count_small, params_small, knife_edge_configs, params_small_table, knife_edge_configs_table
 ):
     rng = np.random.default_rng(99)
     queries = [
@@ -111,6 +154,38 @@ def test_closed_form_equals_oracle_on_random_queries(
         closed = hawkes_coefficient(params_small, pts)
         brute = coefficient_oracle(count_small, params_small.window, pts)
         assert closed == brute
+    # the benchmark's coefficient queries reach k = 9; the table kernel's
+    # knife-edge configurations join at every size
+    cases = [(params_small, c.atoms) for c in knife_edge_configs if len(c) > 6]
+    cases += [(params_small_table, c.atoms) for c in knife_edge_configs_table if len(c)]
+    for params in (params_small, params_small_table):
+        cases += [
+            (params, random_distinct_points(rng, params.window, k))
+            for k in (7, 8, 9)
+            for _ in range(6)
+        ]
+    for params, pts in cases:
+        brute = coefficient_oracle(HawkesCount(params), params.window, pts)
+        assert hawkes_coefficient(params, pts) == brute
+
+
+def test_coefficient_table_equals_the_pass_per_atom_table(
+    params_small, knife_edge_configs, params_small_table, knife_edge_configs_table
+):
+    rng = np.random.default_rng(98)
+    for params, knife_edge in [
+        (params_small, knife_edge_configs),
+        (params_small_table, knife_edge_configs_table),
+    ]:
+        seeded = [
+            Configuration(
+                params.window,
+                tuple(sorted(random_distinct_points(rng, params.window, n), key=lambda p: p.t)),
+            )
+            for n in range(12, 21)
+        ]
+        for config in seeded + knife_edge:
+            assert _coefficient_table(params, config) == coefficient_table_by_passes(params, config)
 
 
 @given(st.data())
@@ -163,17 +238,22 @@ def test_reconstruct_shared_equals_direct(params_small):
         if len(source) > 8:
             continue
         lifted = Configuration(params_small.window, source.atoms)
-        fast = reconstruct(params_small, lifted, method="shared")
-        slow = reconstruct(params_small, lifted, method="direct")
-        assert fast.per_size == slow.per_size
-        assert fast.total == slow.total
-        assert fast.exact_match and slow.exact_match
+        fast = reconstruct(params_small, lifted)
+        slow = reconstruct_direct(params_small, lifted)
+        assert fast.per_size == slow
+        assert fast.total == sum(slow)
+        assert fast.exact_match and sum(slow) == fast.event_count
 
 
-def test_reconstruct_matches_on_larger_paths(params_small, knife_edge_configs):
+def test_reconstruct_matches_on_larger_paths(
+    params_small, knife_edge_configs, params_small_table, knife_edge_configs_table
+):
     sources = [sample_poisson(params_small.window, (313, i)) for i in range(40)]
     for i, source in enumerate(sources + knife_edge_configs):
         report = reconstruct(params_small, source)
+        assert report.exact_match, (i, report.per_size, report.event_count)
+    for i, source in enumerate(knife_edge_configs_table):
+        report = reconstruct(params_small_table, source)
         assert report.exact_match, (i, report.per_size, report.event_count)
 
 
@@ -193,10 +273,10 @@ def test_reconstruct_exact_on_exact_thinning_sources(params_small):
         source = simulate(params_small, (319, i), thinning="exact").source
         if len(source) > 10:
             continue
-        fast = reconstruct(params_small, source, method="shared")
-        slow = reconstruct(params_small, source, method="direct")
-        assert fast.exact_match and slow.exact_match
-        assert fast.per_size == slow.per_size
+        fast = reconstruct(params_small, source)
+        slow = reconstruct_direct(params_small, source)
+        assert fast.exact_match and sum(slow) == fast.event_count
+        assert fast.per_size == slow
 
 
 @given(st.data())
