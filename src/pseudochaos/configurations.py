@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -30,15 +31,16 @@ class AtomBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True, order=True)
 class Point:
-    """One atom (t, theta) of the planar measure."""
+    """One atom (t, theta) of the planar measure: both finite reals >= 0, else
+    ValueError (TypeError for a non-number), checked by the cheap math.isfinite."""
 
     t: float
     theta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.t) and self.t >= 0.0):
+        if not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"atom time must be finite and >= 0, got {self.t}")
-        if not (np.isfinite(self.theta) and self.theta >= 0.0):
+        if not (math.isfinite(self.theta) and self.theta >= 0.0):
             raise ValueError(f"atom mark must be finite and >= 0, got {self.theta}")
 
 
@@ -133,7 +135,7 @@ def sample_poisson(
         times[tied + 1] = rng.uniform(0.0, window.T, size=tied.size)
         order = np.argsort(times, kind="stable")
         times, marks = times[order], marks[order]
-    atoms = tuple(Point(float(t), float(th)) for t, th in zip(times, marks))
+    atoms = tuple(map(Point, times.tolist(), marks.tolist()))
     return Configuration(window=window, atoms=atoms)
 
 

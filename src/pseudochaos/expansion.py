@@ -28,7 +28,7 @@ from .configurations import (
     Window,
     sample_poisson,
 )
-from .hawkes import HawkesCount, HawkesParams, _intensity, solve_path
+from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows, solve_path
 from .malliavin import Functional, iterated_difference
 from .mc import MCEstimate, RngKey, rng_from_key
 
@@ -118,8 +118,7 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
     for j in range(n - 1):
         sizes[1 << j : 2 << j] = sizes[: 1 << j] + 1
     inds = []
-    for i in range(n):
-        row = params.kernel._eval(times[i] - times[:i]) if i else ()
+    for i, row in enumerate(_lag_rows(params.kernel, times)):
         lam[0] = params.mu
         for j in range(i):
             lo, hi = 1 << j, 2 << j

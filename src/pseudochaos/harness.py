@@ -128,7 +128,8 @@ def _tally(flags: np.ndarray) -> AuditResult:
 # lists indexed by path, so the merge is a concatenation in chunk order and
 # results cannot depend on which process ran which chunk.
 
-def _hawkes_paths(params: HawkesParams, thinning: str, seed: int, start: int, stop: int) -> dict:
+def _hawkes_paths(params: HawkesParams, thinning: str, rows_too: bool, seed, start, stop) -> dict:
+    """Event counts and overflow flags per path, and paths.csv's rows if rows_too."""
     counts = np.empty(stop - start)
     overflow = np.empty(stop - start, dtype=bool)
     rows = []
@@ -136,8 +137,9 @@ def _hawkes_paths(params: HawkesParams, thinning: str, seed: int, start: int, st
         path = simulate(params, (seed, p), thinning=thinning)
         counts[i] = path.event_count
         overflow[i] = path.overflow
-        for atom, ok, lam in zip(path.source.atoms, path.accepted, path.intensities):
-            rows.append((p, atom.t, atom.theta, int(ok), lam))
+        if rows_too:
+            for atom, ok, lam in zip(path.source.atoms, path.accepted, path.intensities):
+                rows.append((p, atom.t, atom.theta, int(ok), lam))
     return {"counts": counts, "overflow": overflow, "rows": rows}
 
 
@@ -171,7 +173,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
     artifact_rows: dict[str, tuple[list[str], list]] = {}
 
     if spec.statistic == "hawkes_mean":
-        paths = _map_paths(_hawkes_paths, spec, n_jobs, spec.params, spec.thinning)
+        paths = _map_paths(_hawkes_paths, spec, n_jobs, spec.params, spec.thinning, out_dir is not None)
         headline = MCEstimate.from_samples(paths["counts"], seed=spec.seed)
         extra["overflow_fraction"] = float(paths["overflow"].mean())
         artifact_rows["paths.csv"] = (

@@ -21,6 +21,10 @@ from .kernels import Kernel
 from .malliavin import Functional
 from .mc import RngKey, rng_from_key
 
+# rows per kernel call in _lag_rows: desk paths (about 20 atoms) take one call,
+# and a long path holds a few blocks of 256 x n floats, not n x n
+_LAG_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class HawkesParams:
@@ -51,13 +55,23 @@ def _intensity(mu, values, weights):
     return lam
 
 
+def _lag_rows(kernel: Kernel, times: np.ndarray):
+    """Yield, for each atom i of a time-sorted array, the list of kernel(t_i - t_j)
+    over j < i, from one kernel call per block of _LAG_BLOCK rows. The block's
+    unused upper triangle is clamped to lag 0, so an exponential never overflows."""
+    for lo in range(0, len(times), _LAG_BLOCK):
+        hi = min(lo + _LAG_BLOCK, len(times))
+        block = kernel._eval(np.maximum(times[lo:hi, None] - times[:hi], 0.0))
+        for i, row in enumerate(block, lo):
+            yield row[:i].tolist()
+
+
 def _sweep(mu: float, kernel: Kernel, times: np.ndarray, marks: np.ndarray):
     """Thinning sweep in time order. Returns lists (intensities, accepted)
-    where intensities[i] is lambda at atom i built by `_intensity` from the
-    previously accepted atoms."""
+    where intensities[i] is lambda at atom i, folded by `_intensity` from the
+    lags `_lag_rows` gives and the earlier acceptances."""
     mu, intensities, accepted = float(mu), [], []
-    for i, mark in enumerate(marks.tolist()):
-        row = kernel._eval(times[i] - times[:i]).tolist() if i else ()
+    for row, mark in zip(_lag_rows(kernel, times), marks.tolist()):
         lam = _intensity(mu, row, accepted)
         intensities.append(lam)
         accepted.append(mark <= lam)
@@ -120,7 +134,10 @@ def simulate(params: HawkesParams, rng_key: RngKey, thinning: str = "capped") ->
 
     thinning="exact": local-bound candidate generation for nonincreasing
     kernels. Candidate marks are drawn below the current intensity bound, so
-    no event is ever censored and overflow cannot occur.
+    no event is ever censored and overflow cannot occur. The bound after a
+    candidate is the full-prefix intensity at its time: the candidate's own
+    intensity plus phi(0) if it was accepted, one more `_intensity` term, so
+    each candidate costs one kernel evaluation.
     """
     if thinning == "capped":
         return solve_path(params, sample_poisson(params.window, rng_key))
@@ -135,26 +152,25 @@ def simulate(params: HawkesParams, rng_key: RngKey, thinning: str = "capped") ->
     cand_th: list[float] = []
     accepted: list[bool] = []
 
-    def intensity(t: float) -> float:
-        # the same full-prefix evaluation the path solver redoes on the source
-        row = kernel._eval(t - np.asarray(cand_t)).tolist() if cand_t else ()
-        return _intensity(mu, row, accepted)
+    phi0 = kernel._eval(np.zeros(1)).tolist()   # what an accepted candidate adds at its own time
 
     t_cur = 0.0
-    bound_max = mu
+    lam_bar = bound_max = mu
     while True:
         # For a nonincreasing kernel the intensity only decays until the next
         # accepted atom, so its value just after t_cur bounds it on (t_cur, T].
-        lam_bar = intensity(t_cur)
         t_cur = t_cur + rng.exponential(1.0 / lam_bar)
         if t_cur > T:
             break
         theta = float(rng.uniform(0.0, lam_bar))
         bound_max = max(bound_max, lam_bar)
-        lam = intensity(t_cur)
+        # the same full-prefix evaluation the path solver redoes on the source
+        row = kernel._eval(t_cur - np.asarray(cand_t)).tolist() if cand_t else ()
+        lam = _intensity(mu, row, accepted)
         cand_t.append(float(t_cur))
         cand_th.append(theta)
         accepted.append(theta <= lam)
+        lam_bar = _intensity(lam, phi0, accepted[-1:])
 
     window = Window(T=T, M=max(params.window.M, bound_max))
     source = Configuration(
@@ -173,7 +189,9 @@ class HawkesCount(Functional):
         self.params = params
 
     def __call__(self, config: Configuration) -> float:
-        return float(solve_path(self.params, config.restrict(self.window)).event_count)
+        if config.window != self.window:
+            config = config.restrict(self.window)
+        return float(solve_path(self.params, config).event_count)
 
     def eval_packed(self, times, marks, n_valid):
         """Vectorized sweep across a padded batch. Rows must be time sorted;
