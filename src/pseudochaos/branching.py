@@ -216,9 +216,6 @@ class JumpHistogram:
     frac_ge2_se: float          # cluster (per-path) delta-method standard error
     ignored_fraction: float     # atoms with mark above max(mu, kernel sup)
 
-    def frequency(self, size: int) -> float:
-        return self.counts.get(size, 0) / self.n_jumps if self.n_jumps else 0.0
-
 
 def jump_size_histogram(params: HawkesParams, n_paths: int, rng_key: RngKey) -> JumpHistogram:
     seed, base_index = rng_key

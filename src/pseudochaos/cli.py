@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import expansion, harness
-from .configurations import AtomBudgetExceeded, Point, Window, read_csv, sample_poisson
+from .configurations import (
+    DEFAULT_ATOM_BUDGET, AtomBudgetExceeded, Point, Window, read_csv, sample_poisson,
+)
 from .hawkes import HawkesCount, HawkesParams
 from .kernels import Kernel, StabilityError, build_ladder
 from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1
@@ -40,8 +42,7 @@ class RunConfig:
     j_max: int = 4               # characterization orders
     points_per_path: int = 1
     thinning: str = "capped"     # capped | exact
-    budget: int = 22
-    split: float = 0.5
+    budget: int = DEFAULT_ATOM_BUDGET
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -296,7 +297,7 @@ def cmd_ipp(cfg: RunConfig, params: HawkesParams, ns) -> int:
 
 
 def cmd_selfcheck(cfg: RunConfig, params: HawkesParams, ns) -> int:
-    results = harness.selfcheck(seed=cfg.seed)
+    results = harness.selfcheck()
     failed = 0
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

@@ -1,11 +1,12 @@
 """Seeded experiment runner: resolvent-based analytic mean, path-parallel
 Monte Carlo with per-path rng keys, reconstruction audits, CSV artifacts, and
-the reduced-scale selfcheck behind the CLI."""
+the table of acceptance criteria behind the test suite and the CLI selfcheck."""
 from __future__ import annotations
 
 import csv
 import functools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -13,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import branching, expansion
-from .configurations import DEFAULT_ATOM_BUDGET, Window, sample_poisson
-from .hawkes import HawkesCount, HawkesParams, simulate
+from .configurations import DEFAULT_ATOM_BUDGET, Point, Window, sample_poisson
+from .hawkes import HawkesCount, HawkesParams, simulate, solve_path
 from .kernels import ConvolutionLadder, Kernel, build_ladder
 from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1, iterated_difference
 from .mc import MCEstimate, RngKey
@@ -43,7 +44,6 @@ def expected_count_analytic(params: HawkesParams, ladder: ConvolutionLadder) -> 
         raise ValueError(f"ladder horizon {ladder.horizon} shorter than T={T}")
 
     def double_integral(grid: np.ndarray, resolvent: np.ndarray) -> float:
-        h = grid[1] - grid[0]
         inner = np.concatenate([[0.0], np.cumsum(0.5 * (resolvent[1:] + resolvent[:-1]) * (grid[1:] - grid[:-1]))])
         xs = np.append(grid[grid < T], T)
         vals = np.interp(xs, grid, inner)
@@ -274,7 +274,21 @@ def _spec_dict(spec: ExperimentSpec) -> dict:
     return d
 
 
-# -- reduced-scale selfcheck ---------------------------------------------------
+# -- acceptance criteria --------------------------------------------------------
+# The ten acceptance criteria, each defined once with its pinned seeds, bands
+# and tolerances. A criterion takes a size map, size(full) -> int, applied to
+# each of its path and query counts: tests/test_acceptance.py runs the table
+# at full size and `selfcheck` at reduced size. A sub-check labelled `a ~ b`
+# asks for a within 3 standard errors (plus the reported budget, if any) of b.
+
+EXP = Kernel.exponential(0.5, 1.0)
+DEFAULT = HawkesParams(mu=1.0, kernel=EXP, window=Window(T=5.0, M=4.0))
+CLOSED_FORM_MEAN_T5 = 10.0 - 2.0 * (1.0 - math.exp(-2.5))  # 8.16417...
+
+# pinned on the first verified run of criterion 8 (seed 8000, 10^4 paths);
+# the 3-se band around it is a regression fence, not a theory value
+FRAC_GE2_REGRESSION = 0.223262
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -283,150 +297,207 @@ class CheckResult:
     detail: str
 
 
-def selfcheck(seed: int = 2024, scale: float = 0.2) -> list[CheckResult]:
-    """Reduced-scale sweep of the acceptance checks; the full-scale versions
-    live in the test suite. Returns one result per criterion."""
-    results: list[CheckResult] = []
-    n = lambda full: max(200, int(full * scale))
-    kernel = Kernel.exponential(0.5, 1.0)
-    zero = Kernel.zero()
+def _verdict(name: str, detail: str, checks: dict[str, bool]) -> CheckResult:
+    """Passed iff every named sub-check holds; the detail names those that fail."""
+    failed = [label for label, ok in checks.items() if not ok]
+    if failed:
+        detail += "; FAILED: " + "; ".join(failed)
+    return CheckResult(name, not failed, detail)
 
-    # 1: exact reconstruction
-    params_rec = HawkesParams(mu=1.0, kernel=kernel, window=Window(T=3.0, M=2.0))
-    audit = reconstruction_audit(params_rec, n(1000), (seed, 0))
-    results.append(CheckResult(
-        "reconstruction-exact",
-        audit.n_exact == audit.n_checked and audit.n_checked >= 0.95 * n(1000),
-        f"{audit.n_exact}/{audit.n_checked} exact, {audit.n_skipped_budget} skipped",
-    ))
 
-    # 2: coefficient closed form vs brute-force oracle
-    params5 = HawkesParams(mu=1.0, kernel=kernel, window=Window(T=5.0, M=4.0))
-    F = HawkesCount(params5)
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    n_queries = max(60, int(500 * scale))
-    for _ in range(n_queries):
-        k = int(rng.integers(1, 7))
-        pts = random_distinct_points(rng, params5.window, k)
-        if expansion.hawkes_coefficient(params5, pts) != expansion.coefficient_oracle(
-            F, params5.window, pts
-        ):
-            mismatches += 1
-    results.append(CheckResult(
-        "coefficient-oracle-equality", mismatches == 0,
-        f"{mismatches}/{n_queries} mismatches",
-    ))
+def criterion_1_exact_pathwise_reconstruction(size) -> CheckResult:
+    n = size(1000)
+    params = HawkesParams(mu=1.0, kernel=EXP, window=Window(T=3.0, M=2.0))
+    audit = reconstruction_audit(params, n, (1000, 0))
+    detail = f"{audit.n_exact}/{audit.n_checked} exact, {audit.n_skipped_budget} over budget"
+    return _verdict("criterion 1 (exact reconstruction)", detail, {
+        "every checked path exact": audit.n_exact == audit.n_checked,
+        "at least 95% of paths within budget": 20 * audit.n_checked >= 19 * n,
+        "every path checked or skipped": audit.n_checked + audit.n_skipped_budget == n,
+    })
 
-    # 3: Hawkes mean vs resolvent quadrature (exact thinning)
-    spec = ExperimentSpec("hawkes_mean", params5, n(10_000), seed, thinning="exact")
-    mean = run_experiment(spec).headline
-    ana = expected_count_analytic(params5, build_ladder(kernel, 0.01, params5.window.T))
-    ok = mean.within(ana.value, slack=ana.error_budget)
-    results.append(CheckResult(
-        "hawkes-mean-resolvent", ok,
-        f"mc {mean.mean:.4f} +- {mean.se:.4f} vs analytic {ana.value:.4f}",
-    ))
 
-    # 4: Poisson reduction
-    params0 = HawkesParams(mu=1.0, kernel=zero, window=Window(T=5.0, M=4.0))
-    mean0 = run_experiment(ExperimentSpec("hawkes_mean", params0, n(10_000), seed)).headline
-    pairs_ok = True
-    F0 = HawkesCount(params0)
-    for _ in range(20):
-        pts = random_distinct_points(rng, params0.window, 2)
-        base = sample_poisson(params0.window, (seed, int(rng.integers(1 << 30))))
-        if iterated_difference(F0, base, pts) != 0.0:
-            pairs_ok = False
-            break
-    results.append(CheckResult(
-        "poisson-reduction",
-        mean0.within(5.0) and pairs_ok,
-        f"mc {mean0.mean:.4f} +- {mean0.se:.4f} vs 5, second differences zero: {pairs_ok}",
-    ))
+def criterion_2_coefficient_oracle_equivalence(size) -> CheckResult:
+    n = size(500)
+    F = HawkesCount(DEFAULT)
+    rng = np.random.default_rng(2000)
+    window = DEFAULT.window
+    differ = []
+    for i in range(n):
+        pts = random_distinct_points(rng, window, int(rng.integers(1, 7)))   # k, then the points
+        if expansion.hawkes_coefficient(DEFAULT, pts) != expansion.coefficient_oracle(F, window, pts):
+            differ.append(i)
+    detail = f"{n - len(differ)}/{n} queries agree exactly"
+    return _verdict("criterion 2 (coefficient oracle)", detail, {
+        f"closed form equals the oracle (queries {differ[:5]} differ)": not differ,
+    })
 
-    # 5: characterization identity
-    win_rect = Window(T=2.0, M=1.0)
-    rep_rect = expansion.characterization_check(RectangleCount(win_rect), win_rect, 2, n(4000), (seed, 0))
-    params_h = HawkesParams(mu=1.0, kernel=kernel, window=Window(T=2.0, M=4.0))
-    rep_h = expansion.characterization_check(
-        HawkesCount(params_h), params_h.window, 4, n(20_000), (seed, 0), points_per_path=2
+
+def criterion_3_hawkes_mean_matches_resolvent(size) -> CheckResult:
+    ana = expected_count_analytic(DEFAULT, build_ladder(EXP, 0.01, 6.0))
+    spec = ExperimentSpec("hawkes_mean", DEFAULT, size(10_000), seed=3000, thinning="exact")
+    mc = run_experiment(spec).headline
+    detail = f"mc {mc.mean:.4f} +- {mc.se:.4f} vs analytic {ana.value:.5f}"
+    return _verdict("criterion 3 (mean vs resolvent)", detail, {
+        "analytic ~ closed form": abs(ana.value - CLOSED_FORM_MEAN_T5) <= ana.error_budget + 1e-9,
+        "mc ~ analytic": mc.within(ana.value, slack=ana.error_budget),
+    })
+
+
+def criterion_4_poisson_reductions(size) -> CheckResult:
+    params = HawkesParams(mu=1.0, kernel=Kernel.zero(), window=Window(T=5.0, M=4.0))
+    mc = run_experiment(ExperimentSpec("hawkes_mean", params, size(10_000), seed=4000)).headline
+    n = size(100)
+    F = HawkesCount(params)
+    rng = np.random.default_rng(4001)
+    vanish = sum(
+        iterated_difference(F, sample_poisson(params.window, (4002, i)),
+                            random_distinct_points(rng, params.window, 2)) == 0.0
+        for i in range(n)
     )
-    ok = (
-        rep_rect.residual.within(0.0)
-        and rep_rect.terms[1].within(0.0)
-        and rep_h.residual.within(0.0, slack=rep_h.truncation_budget)
+    detail = f"mc {mc.mean:.4f} +- {mc.se:.4f} vs 5.0; {vanish}/{n} second differences vanish"
+    return _verdict("criterion 4 (flat-kernel reduction)", detail, {
+        "mc ~ 5": mc.within(5.0),
+        "every second difference exactly 0": vanish == n,
+    })
+
+
+def criterion_5_characterization_identity(size) -> CheckResult:
+    window = Window(T=2.0, M=1.0)
+    rect = expansion.characterization_check(
+        RectangleCount(window), window, 2, size(20_000), (5000, 0)
     )
-    results.append(CheckResult(
-        "characterization-identity", ok,
-        f"rect residual {rep_rect.residual.mean:.4f}, hawkes residual {rep_h.residual.mean:.4f} "
-        f"(budget {rep_h.truncation_budget:.4f})",
-    ))
-
-    # 6: integration by parts, order 1
-    win = Window(T=2.0, M=2.0)
-    params_ipp = HawkesParams(mu=1.0, kernel=kernel, window=win)
-    checks = [
-        ipp_check_order1(HawkesCount(params_ipp), win, n(10_000), (seed, 0)),
-        ipp_check_order1(RectangleCount(win), win, n(10_000), (seed, 0)),
-        ipp_check_order1(ConstantFunctional(3.0, win), win, n(10_000), (seed, 0)),
-    ]
-    ok = all(c.diff.within(0.0) for c in checks) and checks[2].lhs.mean == 0.0
-    results.append(CheckResult(
-        "integration-by-parts", ok,
-        "; ".join(f"diff {c.diff.mean:.4f} +- {c.diff.se:.4f}" for c in checks),
-    ))
-
-    # 7: branching martingale + mean
-    res = branching.martingale_residual(params5, n(10_000), (seed, 0))
-    ana5 = expected_count_analytic(params5, build_ladder(kernel, 0.01, 5.0))
-    ok = res.residual.within(0.0) and res.total_mean.within(ana5.value, slack=ana5.error_budget)
-    results.append(CheckResult(
-        "branching-martingale", ok,
-        f"residual {res.residual.mean:.4f} +- {res.residual.se:.4f}, "
-        f"mean {res.total_mean.mean:.4f} vs {ana5.value:.4f}",
-    ))
-
-    # 8: jumps of size >= 2 occur
-    hist = branching.jump_size_histogram(params5, n(10_000), (seed, 0))
-    results.append(CheckResult(
-        "simultaneous-jumps", hist.frac_ge2 > 0.01,
-        f"frac >= 2: {hist.frac_ge2:.4f}",
-    ))
-
-    # 9: ladder masses and the exponential resolvent
-    ladder = build_ladder(kernel, 0.01, 40.0)
-    mass_ok = all(
-        abs(ladder.level_l1(m) - kernel.l1_norm**m) < 1e-3 for m in range(1, 11)
+    poisson = HawkesParams(mu=1.0, kernel=Kernel.zero(), window=Window(T=2.0, M=2.0))
+    flat = expansion.characterization_check(
+        HawkesCount(poisson), poisson.window, 2, size(20_000), (5001, 0)
     )
-    ts = np.linspace(0.0, 5.0, 41)
-    exact = 0.5 * np.exp(-0.5 * ts)
-    point_ok = bool(np.max(np.abs(ladder.resolvent_at(ts) - exact)) < 1e-3)
-    l1_ok = abs(ladder.resolvent_l1() - 1.0) < 1e-2
-    results.append(CheckResult(
-        "convolution-ladder", mass_ok and point_ok and l1_ok,
-        f"resolvent L1 {ladder.resolvent_l1():.4f}",
-    ))
+    hawkes = HawkesParams(mu=1.0, kernel=EXP, window=Window(T=2.0, M=4.0))
+    report = expansion.characterization_check(
+        HawkesCount(hawkes), hawkes.window, 4, size(60_000), (5002, 0), points_per_path=4
+    )
+    detail = (
+        f"rect {rect.cumulative.mean:.4f}~{window.area}, flat {flat.cumulative.mean:.4f}~2, "
+        f"hawkes residual {report.residual.mean:.4f} +- {report.residual.se:.4f} "
+        f"(budget {report.truncation_budget:.4f})"
+    )
+    return _verdict("criterion 5 (characterization)", detail, {
+        "rect cumulative ~ area": rect.cumulative.within(window.area),
+        "rect second term exactly 0": rect.terms[1].mean == 0.0 and rect.terms[1].se == 0.0,
+        "flat cumulative ~ 2": flat.cumulative.within(2.0),
+        "flat second term exactly 0": flat.terms[1].mean == 0.0 and flat.terms[1].se == 0.0,
+        "hawkes residual ~ 0": report.residual.within(0.0, slack=report.truncation_budget),
+    })
 
-    # 10: chain-length tail bound
+
+def criterion_6_integration_by_parts(size) -> CheckResult:
+    n = size(10_000)
+    window = Window(T=2.0, M=2.0)
+    flat = HawkesParams(mu=1.0, kernel=Kernel.zero(), window=window)
+    excite = HawkesParams(mu=1.0, kernel=EXP, window=window)
+    chk_flat = ipp_check_order1(HawkesCount(flat), window, n, (6000, 0))
+    chk_exp = ipp_check_order1(HawkesCount(excite), window, n, (6001, 0))
+    chk_rect = ipp_check_order1(RectangleCount(window), window, n, (6002, 0))
+    chk_const = ipp_check_order1(ConstantFunctional(3.0, window), window, n, (6003, 0))
+    detail = (
+        f"diffs {chk_flat.diff.mean:.4f}, {chk_exp.diff.mean:.4f}, "
+        f"{chk_rect.diff.mean:.4f}; constant lhs exactly 0"
+    )
+    return _verdict("criterion 6 (integration by parts)", detail, {
+        "flat diff ~ 0": chk_flat.diff.within(0.0),
+        "flat lhs ~ 2 and rhs ~ 2": chk_flat.lhs.within(2.0) and chk_flat.rhs.within(2.0),
+        "exp diff ~ 0": chk_exp.diff.within(0.0),
+        "rect diff ~ 0": chk_rect.diff.within(0.0),
+        "rect lhs exactly the area": chk_rect.lhs.mean == window.area and chk_rect.lhs.se == 0.0,
+        "constant lhs exactly 0": chk_const.lhs.mean == 0.0 and chk_const.lhs.se == 0.0,
+        "constant rhs ~ 0": chk_const.rhs.within(0.0),
+    })
+
+
+def criterion_7_branching_martingale(size) -> CheckResult:
+    report = branching.martingale_residual(DEFAULT, size(10_000), (7000, 0))
+    cond = branching.conditional_residual(DEFAULT, size(500), 8, (7001, 0))
+    detail = (
+        f"residual {report.residual.mean:.4f} +- {report.residual.se:.4f}, "
+        f"mean {report.total_mean.mean:.4f} vs {CLOSED_FORM_MEAN_T5:.5f}, "
+        f"conditional {cond.mean:.4f} +- {cond.se:.4f}"
+    )
+    return _verdict("criterion 7 (branching martingale)", detail, {
+        "residual ~ 0": report.residual.within(0.0),
+        "mean ~ closed form": report.total_mean.within(CLOSED_FORM_MEAN_T5),
+        "conditional residual ~ 0": cond.within(0.0),
+    })
+
+
+def criterion_8_not_a_counting_process(size) -> CheckResult:
+    hist = branching.jump_size_histogram(DEFAULT, size(10_000), (8000, 0))
+    unit = True
+    for i in range(size(200)):
+        path = solve_path(DEFAULT, sample_poisson(DEFAULT.window, (8001, i)))
+        unit &= path.event_count == len(path.events) == len({p.t for p in path.events})
+    detail = (
+        f"frac(jump >= 2) = {hist.frac_ge2:.4f} +- {hist.frac_ge2_se:.4f} "
+        f"(regression {FRAC_GE2_REGRESSION}); thinning jumps all unit"
+    )
+    return _verdict("criterion 8 (not a counting process)", detail, {
+        "frac(jump >= 2) > 0.01": hist.frac_ge2 > 0.01,
+        "frac(jump >= 2) ~ regression":
+            abs(hist.frac_ge2 - FRAC_GE2_REGRESSION) <= 3.0 * hist.frac_ge2_se,
+        "thinning jumps all unit": unit,
+    })
+
+
+def criterion_9_convolution_ladder(size) -> CheckResult:
+    ladder = build_ladder(EXP, 0.01, 40.0)
+    worst_mass = max(abs(ladder.level_l1(n) - 0.5**n) for n in range(1, 11))
+    ts = np.linspace(0.0, 10.0, 201)
+    worst_point = float(np.max(np.abs(ladder.resolvent_at(ts) - 0.5 * np.exp(-0.5 * ts))))
+    quarter = build_ladder(Kernel.exponential(0.25, 1.0), 0.01, 40.0)
+    detail = (
+        f"mass err {worst_mass:.2e}, pointwise err {worst_point:.2e}, "
+        f"resolvent L1 {ladder.resolvent_l1():.4f} and {quarter.resolvent_l1():.4f}"
+    )
+    return _verdict("criterion 9 (convolution ladder)", detail, {
+        "level masses within 1e-4": worst_mass < 1e-4,
+        "resolvent within 5e-4 pointwise": worst_point < 5e-4,
+        "resolvent L1 within 1e-2 of 1": abs(ladder.resolvent_l1() - 1.0) < 1e-2,
+        "alpha 0.25 resolvent L1 within 1e-3": abs(quarter.resolvent_l1() - 1.0 / 3.0) < 1e-3,
+    })
+
+
+def criterion_10_chain_length_tail(size) -> CheckResult:
     p_tail = 8
-    tail_bound = params5.mu * params5.window.T * kernel.l1_norm**p_tail / (1 - kernel.l1_norm)
-    masses = np.empty(n(10_000))
-    for p in range(len(masses)):
-        src = sample_poisson(params5.window, (seed + 1, p))
-        totals = branching.chain_length_totals(params5, src)
-        masses[p] = totals[p_tail:].sum()
-    est = MCEstimate.from_samples(masses, seed=seed + 1)
-    ok = est.mean <= tail_bound + 3.0 * (est.se or 0.0)
-    results.append(CheckResult(
-        "chain-length-tail", ok, f"mass {est.mean:.5f} vs bound {tail_bound:.5f}",
-    ))
-    return results
+    bound = DEFAULT.mu * DEFAULT.window.T * 0.5**p_tail / (1 - 0.5)
+    totals = (branching.chain_length_totals(DEFAULT, sample_poisson(DEFAULT.window, (10_000, i)))
+              for i in range(size(10_000)))
+    est = MCEstimate.from_samples([t[p_tail:].sum() for t in totals])
+    detail = f"mass beyond {p_tail}: {est.mean:.5f} +- {est.se:.5f} vs bound {bound:.5f}"
+    return _verdict("criterion 10 (chain-length tail)", detail, {
+        "tail mass below bound + 3 se": est.mean <= bound + 3.0 * est.se,
+    })
+
+
+CRITERIA = (
+    criterion_1_exact_pathwise_reconstruction,
+    criterion_2_coefficient_oracle_equivalence,
+    criterion_3_hawkes_mean_matches_resolvent,
+    criterion_4_poisson_reductions,
+    criterion_5_characterization_identity,
+    criterion_6_integration_by_parts,
+    criterion_7_branching_martingale,
+    criterion_8_not_a_counting_process,
+    criterion_9_convolution_ladder,
+    criterion_10_chain_length_tail,
+)
+
+
+def selfcheck(scale: float = 0.1) -> list[CheckResult]:
+    """Every criterion of CRITERIA at reduced scale: each path or query count
+    `full` becomes min(full, max(200, int(full * scale)))."""
+    size = lambda full: min(full, max(200, int(full * scale)))
+    return [criterion(size) for criterion in CRITERIA]
 
 
 def random_distinct_points(rng, window: Window, k: int):
-    from .configurations import Point
-
     while True:
         ts = rng.uniform(0.0, window.T, size=k)
         if len(set(ts)) == k:

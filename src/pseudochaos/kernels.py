@@ -122,7 +122,11 @@ class Kernel:
         idx = np.minimum((clipped / h).astype(int), len(v) - 2)
         d = clipped - idx * h
         slope = (v[idx + 1] - v[idx]) / h
-        return self._node_cum[idx] + v[idx] * d + 0.5 * slope * d * d
+        inside = self._node_cum[idx] + v[idx] * d + 0.5 * slope * d * d
+        # the full integral from the support end on; rounding just before the
+        # end must not overshoot it (a last value of 0 leaves the curve flat there)
+        total = self._node_cum[-1]
+        return np.where(arr < support, np.minimum(inside, total), total)
 
     # -- cached table arrays (not dataclass fields: asdict and eq ignore them)
 
@@ -216,10 +220,10 @@ def build_ladder(kernel: Kernel, step: float, horizon: float, n_max: int = 40) -
     masses then bounds the truncated resolvent tail by
     ``l1 ** (n_max + 1) / (1 - l1)``.
     """
-    if step <= 0.0:
-        raise ValueError(f"grid step must be > 0, got {step}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"grid step must be finite and > 0, got {step}")
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     kernel.require_stable()

@@ -1,10 +1,13 @@
+import contextlib
+import io
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pseudochaos.cli import (
+    _COMMANDS,
     ConfigError,
     RunConfig,
     build_params,
@@ -167,6 +170,8 @@ BAD_INPUT_FILES = {
     "table.cfg": VALID.replace("kernel = exp", "kernel = table\ntable = one_column_kernel.csv"),
     "no_points.cfg": VALID + "points_per_path = 0\n",
     "budget2.cfg": VALID + "budget = 2\n",
+    "split.cfg": VALID + "split = 0.5\n",            # a key RunConfig no longer has
+    "inf_h.cfg": VALID + "h = inf\n",
 }
 
 
@@ -186,6 +191,8 @@ BAD_INPUT_FILES = {
         ["coeff", "--random", "2", "--k-max", "0"],
         # five points need a budget of 4 earlier atoms
         ["--config", "budget2.cfg", "coeff", "--points", "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"],
+        ["--config", "split.cfg", "simulate"],
+        ["--config", "inf_h.cfg", "expect"],
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -234,3 +241,54 @@ def test_kernel_table_is_read_once_per_run(command, tmp_path, monkeypatch, capsy
     monkeypatch.setattr(Kernel, "from_csv", classmethod(counting_from_csv))
     assert main(["--config", str(cfg), "--paths", "200", command]) == 0
     assert len(reads) == 1
+
+
+# bounded settings keep one run of a subcommand within tens of milliseconds
+_BOUNDED = {
+    "mu": st.floats(0.1, 3.0), "T": st.floats(0.1, 5.0), "M": st.floats(0.1, 5.0),
+    "kernel": st.sampled_from(["exp", "zero"]), "alpha": st.floats(0.0, 1.2),
+    "beta": st.floats(1.0, 5.0), "seed": st.integers(0, 2**64), "n_paths": st.integers(1, 50),
+    "h": st.floats(0.01, 2.0), "n_max": st.integers(1, 40), "j_max": st.integers(1, 3),
+    "points_per_path": st.integers(1, 3), "thinning": st.sampled_from(["capped", "exact"]),
+    "budget": st.integers(0, 16),
+}
+# junk text has no digits, and the fixed junk parses to nothing, 0, +-1, 10 or a
+# non-finite value, so it never makes a tiny grid step or a large path count
+_JUNK = st.one_of(
+    st.sampled_from(["", "-1", "0", "nan", "inf", "-inf", "1e999", "-0", "1_0", "0x1", "table"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+)
+_POINT = st.builds("{}:{}".format, st.floats(-1.0, 6.0), st.floats(-1.0, 6.0))
+_COEFF_ARGS = st.one_of(
+    st.builds(
+        lambda n, k: ["--random", str(n), "--k-max", str(k)], st.integers(-1, 3), st.integers(-1, 4)
+    ),
+    st.one_of(st.lists(_POINT, max_size=5).map(",".join), _JUNK).map(lambda pts: ["--points=" + pts]),
+)
+_COMMAND_ARGS = st.sampled_from(sorted(set(_COMMANDS) - {"selfcheck"})).flatmap(
+    lambda command: st.just([command]) if command != "coeff" else _COEFF_ARGS.map(["coeff"].__add__)
+)
+
+
+@given(
+    overrides=st.fixed_dictionaries(
+        {}, optional={key: values.map(str) for key, values in _BOUNDED.items()}
+    ),
+    junk=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_BOUNDED)), _JUNK)),
+    command=_COMMAND_ARGS,
+)
+@settings(max_examples=300)
+def test_main_exits_with_a_documented_code(tmp_path_factory, overrides, junk, command):
+    """Every subcommand but selfcheck, on a bounded config with at most one junk
+    value, exits 0, 1 or 2 with no traceback."""
+    lines = {"n_paths": "20", **overrides, **dict([junk] if junk else [])}   # the last value wins
+    path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    path.write_text(VALID + "".join(f"{key} = {value}\n" for key, value in lines.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--config", str(path)] + command)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -18,8 +18,7 @@ from pseudochaos import (
     reconstruction_audit,
     run_experiment,
 )
-
-CLOSED_FORM_T5 = 10.0 - 2.0 * (1.0 - math.exp(-2.5))  # resolvent double integral
+from pseudochaos.harness import CLOSED_FORM_MEAN_T5, CheckResult, _verdict
 
 
 def test_analytic_mean_zero_kernel(zero_kernel):
@@ -33,7 +32,7 @@ def test_analytic_mean_zero_kernel(zero_kernel):
 def test_analytic_mean_matches_closed_form(params_default, exp_kernel):
     ladder = build_ladder(exp_kernel, 0.01, 6.0)
     ana = expected_count_analytic(params_default, ladder)
-    assert abs(ana.value - CLOSED_FORM_T5) <= ana.error_budget + 1e-9
+    assert abs(ana.value - CLOSED_FORM_MEAN_T5) <= ana.error_budget + 1e-9
     assert ana.error_budget < 1e-3
 
 
@@ -46,6 +45,20 @@ def test_analytic_mean_is_linear_in_mu(exp_kernel):
         HawkesParams(mu=2.0, kernel=exp_kernel, window=Window(T=5.0, M=4.0)), ladder
     )
     assert two.value == pytest.approx(2.0 * one.value, rel=1e-12)
+
+
+def test_analytic_mean_on_a_two_node_ladder(exp_kernel):
+    # the coarse half-grid holds one node, so the budget is the whole double integral
+    params = HawkesParams(mu=1.0, kernel=exp_kernel, window=Window(T=1.0, M=4.0))
+    ana = expected_count_analytic(params, build_ladder(exp_kernel, 1.0, 1.0))
+    closed = 1.0 + 1.0 - 2.0 * (1.0 - math.exp(-0.5))
+    assert abs(ana.value - closed) <= ana.error_budget
+
+
+def test_failed_criterion_names_its_failed_sub_checks():
+    result = _verdict("criterion 0", "headline", {"a ~ 0": True, "b ~ 0": False, "c": False})
+    assert result == CheckResult("criterion 0", False, "headline; FAILED: b ~ 0; c")
+    assert _verdict("criterion 0", "headline", {"a ~ 0": True}).passed
 
 
 def test_analytic_mean_requires_covering_horizon(params_default, exp_kernel):

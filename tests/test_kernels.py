@@ -76,6 +76,18 @@ def test_table_interpolates_and_vanishes_beyond_support():
     assert table.sup_norm == 0.4
 
 
+@given(st.floats(1e-3, 10.0), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12))
+def test_table_support_end(step, values):
+    """Zero beyond the last node, and a running integral that does not dip
+    across the support end and stays flat past it."""
+    table = Kernel.from_table(step, values)
+    end = table.step * (len(table.values) - 1)
+    beyond = np.array([np.nextafter(end, math.inf), end + step, 2.0 * end + 1.0])
+    assert not table._eval(beyond).any()
+    assert np.all(np.diff(table._partial(np.array([np.nextafter(end, 0.0), end, *beyond]))) >= 0.0)
+    assert np.all(table._partial(beyond) == table._partial(np.array(end)))
+
+
 def test_partial_integral_empty_interval():
     assert EXP.partial_integral(0.0) == 0.0
 
@@ -188,6 +200,11 @@ def test_ladder_rejects_unstable_and_bad_step():
         build_ladder(Kernel.exponential(1.5, 1.0), 0.01, 10.0)
     with pytest.raises(ValueError):
         build_ladder(EXP, -0.01, 10.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            build_ladder(EXP, bad, 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            build_ladder(EXP, 0.01, bad)
 
 
 def test_nested_triple_integral_matches_convolution_form():

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pseudochaos import (
     Configuration,
+    HawkesCount,
     HawkesParams,
     Kernel,
     Point,
     Window,
+    reconstruct,
     sample_poisson,
     simulate,
     solve_path,
@@ -112,6 +115,29 @@ def test_table_lags_at_and_beyond_the_support_end():
     assert rows[2][0] == 0.0
     assert rows[4][1:3] == [0.0, last]
     assert_sweeps_agree(params, config)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@given(data=st.data())
+def test_near_tied_atoms_agree_across_evaluators(kernel, data):
+    """Atoms one ulp apart: the path solver, the packed evaluator and the
+    expansion count the same events, on random marks and on knife edges."""
+    params = _params(kernel, WINDOWS["audit"])
+    window = params.window
+    base = data.draw(st.lists(st.floats(0.0, 2.9), min_size=1, max_size=6, unique=True))
+    times = np.unique(base + [np.nextafter(t, window.T) for t in base if data.draw(st.booleans())])
+    if data.draw(st.booleans()):
+        marks = np.array([data.draw(st.floats(0.0, window.M)) for _ in times])
+    else:   # every mark equal to its intensity with all atoms accepted
+        marks = np.array(_sweep(params.mu, params.kernel, times, np.zeros(len(times)))[0])
+        keep = np.cumprod(marks <= window.M).astype(bool)   # the longest prefix under M
+        times, marks = times[keep], marks[keep]
+    config = Configuration(window, tuple(map(Point, times.tolist(), marks.tolist())))
+    count = solve_path(params, config).event_count
+    packed = HawkesCount(params).eval_packed(config.times[None], config.marks[None], [len(config)])
+    report = reconstruct(params, config)
+    assert packed[0] == count == report.total == report.event_count
+    assert report.exact_match
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
