@@ -12,8 +12,10 @@ neither side. Then each tree makes one --trace 1 run on the first seed. The
 output holds, per workload and end-to-end metric, the median and quartiles of
 both sides, the pairs in which the change is better and the relative change
 against the metric's bound in BENCHMARK.json; per run, the attempted and
-failed operations, every failing probe with its detail, and the digest; for
-the traced runs, the self-check and the per-layer counts; and the
+failed operations, every failing probe with its detail, and the digest; per
+workload and side, the failed and attempted operations summed over the runs,
+the failed share and every failing probe with its seed and kind; for the
+traced runs, the self-check and the per-layer counts; and the
 environment, with each tree's commit and a hash of its src/. --tier1 adds
 the Tier-1 test wall time of each tree.
 """
@@ -107,6 +109,34 @@ def summarise(metric: dict, pairs: list[dict]) -> dict:
     return out
 
 
+def failures(pairs: list[dict]) -> dict:
+    """Per side: the failed and attempted operations summed over every run,
+    the failed share, the runs that ended in an error, and each failing probe
+    with its seed and kind (exact: an identity; statistical: a pooled band)."""
+    out = {}
+    for side in SIDES:
+        runs = [p[side] for p in pairs]
+        failed = sum(r.get("failed", 0) for r in runs)
+        attempted = sum(r.get("attempted", 0) for r in runs)
+        out[side] = {
+            "failed": failed, "attempted": attempted,
+            "share": failed / attempted if attempted else 0.0,
+            "errored_runs": [r["seed"] for r in runs if r["returncode"] != 0],
+            "probes": [{"seed": r["seed"], "name": p["name"],
+                        "kind": "statistical" if p["statistical"] else "exact",
+                        "detail": p["detail"]}
+                       for r in runs for p in r.get("failing_probes", [])],
+        }
+    return out
+
+
+def failure_line(workload: str, side: str, f: dict) -> str:
+    probes = ", ".join(f"{p['name']} seed {p['seed']} ({p['kind']})" for p in f["probes"])
+    errored = f", errored seeds {f['errored_runs']}" if f["errored_runs"] else ""
+    return (f"{workload:10s} {side:6s} failed {f['failed']} of {f['attempted']} "
+            f"({f['share']:.4%}){errored}; failing probes: {probes or 'none'}")
+
+
 def tier1_seconds(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
@@ -152,6 +182,7 @@ def main(argv=None) -> int:
             "metrics": {m["name"]: summarise(m, pairs) for m in spec["end_to_end"]},
             "digests_equal": all(p["digests_equal"] for p in pairs),
             "trace_calls_equal": calls["parent"] == calls["change"],
+            "failures": failures(pairs),
             "pairs": pairs,
             "traced": traced,
         }
@@ -170,6 +201,8 @@ def main(argv=None) -> int:
                 print(f"{workload:10s} {name:22s} parent {m['parent']['median']:.6g} "
                       f"change {m['change']['median']:.6g}, gain {m['relative_gain']:+.1%}, "
                       f"change better in {m['change_better']}/{m['pairs']}")
+        for side in SIDES:
+            print(failure_line(workload, side, w["failures"][side]))
     print(f"wrote {ns.out}")
     return 0
 

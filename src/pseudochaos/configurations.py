@@ -14,7 +14,9 @@ import numpy as np
 from .mc import RngKey, rng_from_key
 
 # 2**22 subsets is the largest enumeration the exact reconstruction and
-# difference operators will attempt before refusing.
+# difference operators will attempt before refusing. The budget counts every
+# atom: the reconstruction's table spans only the 2**live masks of the atoms
+# some subset can accept, but when all are live the worst case is unchanged.
 DEFAULT_ATOM_BUDGET = 22
 
 

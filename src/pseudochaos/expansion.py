@@ -61,7 +61,13 @@ def hawkes_coefficient(
     integer, and in {0, 1} for a single point. It is the last row of the
     subset table (`_size_histograms`): with h[s] the number of size-s subsets
     of the earlier points on which the latest is accepted,
-    c_k = sum_s (-1)^(k-1-s) h[s]. Cost O(2^k).
+    c_k = sum_s (-1)^(k-1-s) h[s]. Rounded addition of nonnegative terms is
+    monotone, so a point's intensity on any subset is at most top, the fold of
+    mu and the lags of every live earlier point. A point whose mark exceeds
+    top is dead, accepted on no subset, and then c_k = 0: if it is the
+    latest, every indicator is 0, and otherwise the subsets with and without
+    it pair off with opposite signs. So the table stops at the first dead
+    point. Cost O(2^k).
     """
     pts = _validate_points(params.window, points)
     k = len(pts)
@@ -72,8 +78,10 @@ def hawkes_coefficient(
         return int(last.theta <= params.mu)
     times = np.array([p.t for p in pts])
     marks = np.array([p.theta for p in pts])
-    *_, h = _size_histograms(params, times, marks)
-    return sum((-1) ** (k - 1 - s) * count for s, count in enumerate(h))
+    for live, h in _size_histograms(params, times, marks):
+        if not h:
+            return 0
+    return sum((-1) ** (live - s) * count for s, count in enumerate(h))
 
 
 def coefficient_oracle(
@@ -99,52 +107,82 @@ class ReconstructionReport:
 
 
 def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray):
-    """For each atom i in time order, yield h with h[s] the number of size-s
-    subsets of atoms 0..i-1 on whose sub-configuration atom i is accepted.
+    """For each atom i in time order, yield (k, h): k counts the live atoms
+    before it, and h[s] the number of size-s subsets of those k atoms on whose
+    sub-configuration atom i is accepted. h is empty when atom i is dead.
 
-    Atoms are time sorted, so the subsets of atoms strictly before atom i are
-    exactly the bitmasks below 2**i. Atom i's intensities over those masks are
-    built by doubling: a mask with top bit j is m + 2**j with m < 2**j, so
-    lam_i[m + 2**j] = lam_i[m] + phi(t_i - t_j) * ind_j[m], where ind_j is
-    atom j's acceptance indicator over its own masks. Each step is one
-    `_intensity` call, so every mask still gets mu plus its accepted atoms'
-    terms in ascending time order, and every indicator decision is bitwise
-    identical to solve_path's. Cost O(2^n) in all.
+    Kernel terms are nonnegative and rounded addition is monotone, so on every
+    subset atom i's intensity lies in [mu, top], where top folds mu and the
+    lags of all live earlier atoms. So atom i falls in one of three cases:
+    - dead, if its mark exceeds top: it is accepted on no subset. Its
+      indicator would add an exact 0.0 wherever a later fold met it, so it
+      gets no bit, and every subset that holds it has coefficient 0;
+    - always accepted, if its mark is at most mu: h is the binomial row, and
+      its indicator is the scalar True;
+    - undecided, otherwise: its intensities over the 2**k masks of the live
+      earlier atoms are built by doubling. A mask with top bit q is m + 2**q
+      with m < 2**q, so lam[m + 2**q] = lam[m] + phi(t_i - t_j) * ind_j[m],
+      where j is the q-th live atom and ind_j its indicator over its own masks.
+    Each step is one `_intensity` call, so every mask still gets mu plus its
+    accepted atoms' terms in ascending time order, and every indicator
+    decision is bitwise identical to solve_path's. Cost O(2^live) in all.
     """
-    n = len(times)
-    half = 1 << max(n - 1, 0)
-    lam = np.empty(half)
-    sizes = np.zeros(half, dtype=np.uint8)   # popcount of every mask
-    for j in range(n - 1):
-        sizes[1 << j : 2 << j] = sizes[: 1 << j] + 1
-    inds = []
+    mu = float(params.mu)
+    live, inds = [], []   # the live atoms and their indicators, in time order
+    lam = sizes = np.empty(0)
+    counted = 0           # sizes holds the popcounts below 2**counted
     for i, row in enumerate(_lag_rows(params.kernel, times)):
-        lam[0] = params.mu
-        for j in range(i):
-            lo, hi = 1 << j, 2 << j
+        k = len(live)
+        lags = [row[j] for j in live]
+        top = _intensity(mu, lags, [True] * k)
+        mark = marks[i]
+        if mark > top:
+            yield k, []
+            continue
+        live.append(i)
+        if mark <= mu:
+            inds.append(True)
+            yield k, [math.comb(k, s) for s in range(k + 1)]
+            continue
+        if not len(lam):
+            # one allocation for every later atom, which sees at most the
+            # atoms in between as new live ones; pages are committed only as
+            # they are written, and a table regrown per atom made the all-live
+            # worst case slower
+            lam = np.empty(1 << (k + len(times) - 1 - i))
+            sizes = np.zeros(len(lam), dtype=np.uint8)   # popcount of every mask
+        for q in range(counted, k):
+            sizes[1 << q : 2 << q] = sizes[: 1 << q] + 1
+        counted = k
+        lam[0] = mu
+        for q, (lag, ind) in enumerate(zip(lags, inds)):
+            lo, hi = 1 << q, 2 << q
             lam[lo:hi] = lam[:lo]
-            _intensity(lam[lo:hi], (row[j],), (inds[j],))
-        ind = marks[i] <= lam[: 1 << i]
+            _intensity(lam[lo:hi], (lag,), (ind,))
+        ind = mark <= lam[: 1 << k]
         inds.append(ind)
-        yield np.bincount(sizes[: 1 << i][ind], minlength=i + 1).tolist()
+        yield k, np.bincount(sizes[: 1 << k][ind], minlength=k + 1).tolist()
 
 
 def _coefficient_table(params: HawkesParams, config: Configuration) -> list[int]:
     """Sum of c_k over all size-k subsets for every k = 1..n (list index
-    k - 1), in O(2^n).
+    k - 1), in O(2^live).
 
-    The coefficient of mask + {i} is the alternating sum of atom i's
-    acceptance indicator over the submasks of mask, so an accepted size-s
-    submask counts once in each of its C(i-s, a-s) size-a supersets, with
-    sign (-1)^(a-s): atom i adds sum_s (-1)^(a-s) C(i-s, a-s) h[s] to the
-    size-(a+1) sum, in exact integers.
+    A subset that holds a dead atom has coefficient 0 (see
+    `hawkes_coefficient`), so only subsets of live atoms count. The
+    coefficient of mask + {i} is the alternating sum of atom i's acceptance
+    indicator over the submasks of mask, so with k live atoms before atom i
+    an accepted size-s submask counts once in each of its C(k-s, a-s) size-a
+    supersets, with sign (-1)^(a-s): atom i adds
+    sum_s (-1)^(a-s) C(k-s, a-s) h[s] to the size-(a+1) sum, in exact
+    integers.
     """
     n = len(config)
     signed = [[(-1) ** b * math.comb(m, b) for b in range(m + 1)] for m in range(n)]
     per_size = [0] * n
-    for i, h in enumerate(_size_histograms(params, config.times, config.marks)):
+    for k, h in _size_histograms(params, config.times, config.marks):
         for s, count in enumerate(h):
-            for a, weight in enumerate(signed[i - s], s):
+            for a, weight in enumerate(signed[k - s], s):
                 per_size[a] += weight * count
     return per_size
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from pseudochaos import Configuration, HawkesParams, Kernel, Point, Window, sample_poisson
-from pseudochaos.hawkes import _sweep
+from pseudochaos.hawkes import _intensity, _lag_rows, _sweep
 
 # MC-style tests do real work on first call (numpy warmup); wall-clock
 # deadlines would only add flake.
@@ -77,3 +77,32 @@ def knife_edge_configs_table(params_small_table):
     """The knife-edge configurations of `knife_edge_configs`, built with the
     801-node table kernel."""
     return _knife_edge(params_small_table)
+
+
+@pytest.fixture(scope="session")
+def pruning_edge_configs(exp_kernel, table_kernel):
+    """(params, configuration) pairs, 30 for the exponential kernel and 30 for
+    the 801-node table, whose every mark sits on an edge of the live-atom
+    table: exactly mu (always accepted), exactly the live bound top (mu plus
+    every live earlier lag, which the full subset reaches when it accepts
+    every live atom), np.nextafter(top, inf) (dead by one ulp), or uniform
+    in between. Dead atoms thus sit among knife edges. Each keeps the
+    longest prefix whose marks fit under the mark ceiling."""
+    cases = []
+    for key, kernel in enumerate((exp_kernel, table_kernel)):
+        params = HawkesParams(mu=1.0, kernel=kernel, window=Window(T=3.0, M=6.0))
+        rng = np.random.default_rng((411, key))
+        for n in np.resize(np.arange(6, 19), 30).tolist():
+            times = np.unique(rng.uniform(0.0, params.window.T, size=n))
+            atoms, live = [], []
+            for i, row in enumerate(_lag_rows(kernel, times)):
+                top = _intensity(params.mu, [row[j] for j in live], [True] * len(live))
+                edges = (params.mu, top, np.nextafter(top, np.inf), rng.uniform(params.mu, top))
+                mark = float(edges[rng.integers(4)])
+                if mark > params.window.M:
+                    break
+                if mark <= top:
+                    live.append(i)
+                atoms.append(Point(float(times[i]), mark))
+            cases.append((params, Configuration(params.window, tuple(atoms))))
+    return cases

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,27 @@ def test_coefficient_vanishes_on_inert_tail(params_small):
     assert hawkes_coefficient(params_small, pts) == 0
 
 
+def test_coefficient_is_zero_at_a_dead_or_always_accepted_point(params_small, count_small):
+    phi = params_small.kernel
+    # a point whose mark exceeds mu plus every earlier lag is accepted on no
+    # subset; the subsets with and without it cancel
+    earlier_dead = [Point(0.5, 0.5), Point(1.5, 1.9), Point(2.0, 1.1)]
+    assert 1.9 > 1.0 + float(phi(1.0))
+    assert hawkes_coefficient(params_small, [earlier_dead[0], earlier_dead[2]]) == 1
+    last_dead = [Point(0.5, 0.5), Point(1.0, 0.7), Point(2.0, 1.3)]
+    assert 1.3 > 1.0 + float(phi(1.5)) + float(phi(1.0))
+    # a latest mark at most mu is accepted on every subset: the binomial row
+    # sums to 0 with alternating signs once k >= 2
+    always = [
+        [Point(0.5, 0.5), Point(2.0, 1.0)],
+        [Point(0.5, 0.5), Point(1.0, 1.1), Point(2.0, 1.0)],
+        [Point(0.5, 1.9), Point(1.0, 0.3), Point(1.5, 1.05), Point(2.0, 0.0)],
+    ]
+    for pts in [earlier_dead, last_dead] + always:
+        assert hawkes_coefficient(params_small, pts) == 0
+        assert coefficient_oracle(count_small, params_small.window, pts) == 0
+
+
 def test_coefficient_errors(params_small):
     with pytest.raises(TimeCollisionError):
         hawkes_coefficient(params_small, [Point(1.0, 0.5), Point(1.0, 0.6)])
@@ -141,7 +163,8 @@ def test_coefficient_oracle_worked_examples(count_small, params_small):
 
 
 def test_closed_form_equals_oracle_on_random_queries(
-    count_small, params_small, knife_edge_configs, params_small_table, knife_edge_configs_table
+    count_small, params_small, knife_edge_configs, params_small_table, knife_edge_configs_table,
+    pruning_edge_configs,
 ):
     rng = np.random.default_rng(99)
     queries = [
@@ -164,13 +187,21 @@ def test_closed_form_equals_oracle_on_random_queries(
             for k in (7, 8, 9)
             for _ in range(6)
         ]
+    # every prefix of up to 8 points of a pruning-edge configuration: dead,
+    # always accepted and knife-edge points in every position
+    cases += [
+        (params, config.atoms[:k])
+        for params, config in pruning_edge_configs
+        for k in range(1, min(len(config), 8) + 1)
+    ]
     for params, pts in cases:
         brute = coefficient_oracle(HawkesCount(params), params.window, pts)
         assert hawkes_coefficient(params, pts) == brute
 
 
 def test_coefficient_table_equals_the_pass_per_atom_table(
-    params_small, knife_edge_configs, params_small_table, knife_edge_configs_table
+    params_small, knife_edge_configs, params_small_table, knife_edge_configs_table,
+    pruning_edge_configs,
 ):
     rng = np.random.default_rng(98)
     for params, knife_edge in [
@@ -186,6 +217,8 @@ def test_coefficient_table_equals_the_pass_per_atom_table(
         ]
         for config in seeded + knife_edge:
             assert _coefficient_table(params, config) == coefficient_table_by_passes(params, config)
+    for params, config in pruning_edge_configs:
+        assert _coefficient_table(params, config) == coefficient_table_by_passes(params, config)
 
 
 @given(st.data())
@@ -255,6 +288,22 @@ def test_reconstruct_matches_on_larger_paths(
     for i, source in enumerate(knife_edge_configs_table):
         report = reconstruct(params_small_table, source)
         assert report.exact_match, (i, report.per_size, report.event_count)
+
+
+@pytest.mark.parametrize("mark", [0.0, 1.0])
+def test_reconstruct_of_always_accepted_atoms_builds_no_table(params_default, mark):
+    # every mark at most mu: each atom is accepted on every subset, so the
+    # table is the binomial rows alone, at the 22-atom budget
+    atoms = tuple(Point(0.2 * (i + 1), mark) for i in range(22))
+    source = Configuration(params_default.window, atoms)
+    tracemalloc.start()
+    report = reconstruct(params_default, source)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert report.per_size == (22,) + (0,) * 21
+    assert report.exact_match and report.event_count == 22
+    # a table over the 2**21 masks of the earlier atoms would take 16 MB
+    assert peak < 1 << 20
 
 
 def test_reconstruct_budget(params_small):
