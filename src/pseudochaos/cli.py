@@ -263,7 +263,7 @@ def cmd_characterize(cfg: RunConfig, params: HawkesParams, ns) -> int:
     _require_band(cfg)
     report = expansion.characterization_check(
         HawkesCount(params), params.window, cfg.j_max, cfg.n_paths,
-        (cfg.seed, 0), points_per_path=cfg.points_per_path,
+        (cfg.seed, 0), points_per_path=cfg.points_per_path, budget=cfg.budget,
     )
     rows = [[j + 1, t.mean, t.se] for j, t in enumerate(report.terms)]
     _emit(rows, ["order", "term_mean", "term_se"], ns.out, "characterization.csv")

@@ -13,6 +13,7 @@ the event count exactly, atom for atom.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,6 +36,9 @@ from .mc import MCEstimate, RngKey, rng_from_key
 # paths are sampled per chunk of this size so the batch evaluator can
 # vectorize; the chunk grid is part of the deterministic sampling layout
 _CHUNK = 512
+# masks per stacked eval_packed call in the characterization check: j_max <= 4
+# takes one call per chunk, and a larger j_max holds no more marks at once
+_MASK_BLOCK = 16
 
 
 def _validate_points(window: Window, points: Sequence[Point]) -> list[Point]:
@@ -226,16 +230,82 @@ class CharacterizationReport:
         return len(self.terms)
 
 
-def _signed_subsets(j_max: int) -> list[list[tuple[int, int]]]:
-    """For each order j: the (mask, sign) pairs of the alternating subset sum
-    over the first j points."""
-    table = []
+def _characterization_chunk(
+    F: Functional,
+    window: Window,
+    j_max: int,
+    points_per_path: int,
+    seed: int,
+    key_index: int,
+    m: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of m paths drawn from the key (seed, key_index): the scaled
+    term samples, shape (j_max, m), and the reference samples of F, shape (m,)."""
+    T, M, area = window.T, window.M, window.area
+    n_masks = 1 << j_max
+    scale = [
+        ((-1.0) ** (j + 1)) * area**j / math.factorial(j) for j in range(1, j_max + 1)
+    ]
+    rng = rng_from_key((seed, key_index))
+
+    counts = rng.poisson(area, size=m)
+    w_base = int(counts.max()) if m else 0
+    width = w_base + j_max
+    base_t = rng.uniform(0.0, T, size=(m, w_base))
+    base_th = rng.uniform(0.0, M, size=(m, w_base))
+    pad = np.arange(w_base) >= counts[:, None]
+    # pads sort past every real atom and can never be accepted
+    base_t[pad] = T + 1.0 + np.broadcast_to(np.arange(w_base), (m, w_base))[pad]
+    base_th[pad] = np.inf
+    order = np.argsort(base_t, axis=1, kind="stable")
+    base_t = np.take_along_axis(base_t, order, axis=1)
+    base_th = np.take_along_axis(base_th, order, axis=1)
+
+    q = points_per_path
+    pts_t = rng.uniform(0.0, T, size=(m, q, j_max))
+    pts_th = rng.uniform(0.0, M, size=(m, q, j_max))
+    full_t = np.concatenate(
+        [np.repeat(base_t[:, None, :], q, axis=1), pts_t], axis=2
+    )
+    full_th = np.concatenate(
+        [np.repeat(base_th[:, None, :], q, axis=1), pts_th], axis=2
+    )
+    order = np.argsort(full_t, axis=2, kind="stable")
+    full_t = np.take_along_axis(full_t, order, axis=2)
+    full_th = np.take_along_axis(full_th, order, axis=2)
+    point_id = np.where(order >= w_base, order - w_base, -1)
+
+    n_valid = np.broadcast_to((counts + j_max)[:, None], (m, q))
+    flat_t = full_t.reshape(m * q, width)
+    flat_valid = n_valid.reshape(m * q)
+    # the stacked marks are built atom-major, (width, masks, rows), the layout
+    # the Hawkes sweep runs in, so its transpose of them is a view, not a copy
+    ids = np.ascontiguousarray(point_id.reshape(m * q, width).T)[:, None, :]
+    th = np.ascontiguousarray(full_th.reshape(m * q, width).T)[:, None, :]
+    # the bit tests run on the smallest unsigned type that holds every mask,
+    # so their temporaries are a fraction of the marks' size
+    shift = np.maximum(ids, 0).astype(np.min_scalar_type(j_max))
+    mask_type = np.min_scalar_type(n_masks - 1)
+    diff = np.zeros((j_max, m * q))
+    for lo in range(0, n_masks, _MASK_BLOCK):
+        masks = range(lo, min(lo + _MASK_BLOCK, n_masks))
+        # bit k of a mask keeps point k; base atoms are always kept
+        keep = (ids < 0) | (np.array(masks, dtype=mask_type)[:, None] >> shift & 1 == 1)
+        # a temporary, so one block's marks are freed before the next is built
+        values = F.eval_packed(flat_t, np.where(keep, th, np.inf).transpose(1, 2, 0), flat_valid)
+        if lo == 0:
+            ref = values[0].reshape(m, q)[:, 0]
+        for mask, row in zip(masks, values):
+            # a mask enters the sum of every order j that holds its points,
+            # with sign (-1)^(j - popcount)
+            first = max(mask.bit_length(), 1)
+            signs = (-1.0) ** (np.arange(first, j_max + 1) - mask.bit_count())
+            diff[first - 1 :] += signs[:, None] * row
+
+    terms = np.empty((j_max, m))
     for j in range(1, j_max + 1):
-        pairs = []
-        for mask in range(1 << j):
-            pairs.append((mask, (-1) ** (j - bin(mask).count("1"))))
-        table.append(pairs)
-    return table
+        terms[j - 1] = scale[j - 1] * diff[j - 1].reshape(m, q).mean(axis=1)
+    return terms, ref
 
 
 def characterization_check(
@@ -245,10 +315,22 @@ def characterization_check(
     n_paths: int,
     rng_key: RngKey,
     points_per_path: int = 1,
+    budget: int = DEFAULT_ATOM_BUDGET,
+    map_chunks=map,
 ) -> CharacterizationReport:
     """Estimate each term (-1)^(j+1)/j! * integral of E[D^j F] over the window
     power by drawing j uniform points and an independent configuration, and
     compare the cumulative sum against E[F] estimated on the same paths.
+
+    Paths are drawn in chunks of _CHUNK, chunk c from the key
+    (seed, base_index + c). Each chunk evaluates F under all 2**j_max masks
+    of its inserted points, _MASK_BLOCK masks per `eval_packed` call on a
+    stacked (masks, rows, width) mark array, so memory stays at
+    _MASK_BLOCK x rows x width floats whatever j_max is. Term j is the signed
+    sum over the masks below 2**j, each with sign (-1)^(j - popcount), added
+    in mask order. j_max counts the inserted points, so it may not exceed
+    budget. map_chunks maps the per-chunk function over the chunk keys and
+    sizes (a process pool's map, say); results are merged in chunk order.
 
     Point draws nested in j share configuration evaluations; standard errors
     are computed over per-path averages, so multiple point draws per path stay
@@ -259,80 +341,29 @@ def characterization_check(
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     if points_per_path < 1:
         raise ValueError(f"points_per_path must be >= 1, got {points_per_path}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if j_max > budget:
+        raise AtomBudgetExceeded(j_max, budget)
     seed, base_index = rng_key
-    T, M, area = window.T, window.M, window.area
-    n_subsets = 1 << j_max
-    signed = _signed_subsets(j_max)
-    scale = [
-        ((-1.0) ** (j + 1)) * area**j / math.factorial(j) for j in range(1, j_max + 1)
-    ]
-    include = np.array(
-        [[(mask >> k) & 1 for k in range(j_max)] for mask in range(n_subsets)],
-        dtype=bool,
-    )
-
-    term_paths = np.empty((j_max, n_paths))
-    ref_paths = np.empty(n_paths)
-    for chunk_idx, start in enumerate(range(0, n_paths, _CHUNK)):
-        stop = min(start + _CHUNK, n_paths)
-        m = stop - start
-        rng = rng_from_key((seed, base_index + chunk_idx))
-
-        counts = rng.poisson(area, size=m)
-        w_base = int(counts.max()) if m else 0
-        width = w_base + j_max
-        base_t = rng.uniform(0.0, T, size=(m, w_base))
-        base_th = rng.uniform(0.0, M, size=(m, w_base))
-        pad = np.arange(w_base) >= counts[:, None]
-        # pads sort past every real atom and can never be accepted
-        base_t[pad] = T + 1.0 + np.broadcast_to(np.arange(w_base), (m, w_base))[pad]
-        base_th[pad] = np.inf
-        order = np.argsort(base_t, axis=1, kind="stable")
-        base_t = np.take_along_axis(base_t, order, axis=1)
-        base_th = np.take_along_axis(base_th, order, axis=1)
-
-        q = points_per_path
-        pts_t = rng.uniform(0.0, T, size=(m, q, j_max))
-        pts_th = rng.uniform(0.0, M, size=(m, q, j_max))
-        full_t = np.concatenate(
-            [np.repeat(base_t[:, None, :], q, axis=1), pts_t], axis=2
-        )
-        full_th = np.concatenate(
-            [np.repeat(base_th[:, None, :], q, axis=1), pts_th], axis=2
-        )
-        order = np.argsort(full_t, axis=2, kind="stable")
-        full_t = np.take_along_axis(full_t, order, axis=2)
-        full_th = np.take_along_axis(full_th, order, axis=2)
-        point_id = np.where(order >= w_base, order - w_base, -1)
-
-        n_valid = np.broadcast_to((counts + j_max)[:, None], (m, q))
-        flat_t = full_t.reshape(m * q, width)
-        flat_valid = n_valid.reshape(m * q)
-        counts_by_subset = np.empty((n_subsets, m * q))
-        for mask in range(n_subsets):
-            keep = (point_id < 0) | include[mask][np.clip(point_id, 0, None)]
-            marks = np.where(keep, full_th, np.inf).reshape(m * q, width)
-            counts_by_subset[mask] = F.eval_packed(flat_t, marks, flat_valid)
-
-        ref_paths[start:stop] = counts_by_subset[0].reshape(m, q)[:, 0]
-        for j in range(1, j_max + 1):
-            diff = np.zeros(m * q)
-            for mask, sign in signed[j - 1]:
-                diff += sign * counts_by_subset[mask]
-            term_paths[j - 1, start:stop] = scale[j - 1] * diff.reshape(m, q).mean(axis=1)
+    starts = range(0, n_paths, _CHUNK)
+    sizes = [min(_CHUNK, n_paths - start) for start in starts]
+    chunk = functools.partial(_characterization_chunk, F, window, j_max, points_per_path, seed)
+    parts = list(map_chunks(chunk, range(base_index, base_index + len(sizes)), sizes))
+    term_paths = np.concatenate([terms for terms, _ in parts], axis=1)
+    ref_paths = np.concatenate([ref for _, ref in parts])
 
     terms = tuple(
         MCEstimate.from_samples(term_paths[j], seed=seed) for j in range(j_max)
     )
     cumulative_paths = term_paths.sum(axis=0)
     last = terms[-1]
-    budget = abs(last.mean) + 3.0 * (last.se or 0.0)
     return CharacterizationReport(
         terms=terms,
         cumulative=MCEstimate.from_samples(cumulative_paths, seed=seed),
         reference=MCEstimate.from_samples(ref_paths, seed=seed),
         residual=MCEstimate.from_samples(cumulative_paths - ref_paths, seed=seed),
-        truncation_budget=float(budget),
+        truncation_budget=float(abs(last.mean) + 3.0 * (last.se or 0.0)),
     )
 
 

@@ -194,16 +194,24 @@ class HawkesCount(Functional):
         return float(solve_path(self.params, config).event_count)
 
     def eval_packed(self, times, marks, n_valid):
-        """Vectorized sweep across a padded batch. Rows must be time sorted;
-        marks of +inf disable an atom. `_intensity` adds up the intensities,
-        over atom-major copies so that each predecessor's batch is contiguous."""
+        """Vectorized sweep across a padded batch, for one set of marks or a
+        stack of them over the same times (see `Functional.eval_packed`).
+        Rows must be time sorted; marks of +inf disable an atom. The sweep
+        runs atom-major, on (width, masks, rows) arrays: each atom column's
+        lags take one kernel call and serve every mask, and `_intensity` adds
+        up the intensities, each predecessor's (masks, rows) batch contiguous.
+        Marks laid out in that order in memory (a transposed view) are not
+        copied."""
         mu, kernel = self.params.mu, self.params.kernel
-        times, marks = np.ascontiguousarray(times.T), np.ascontiguousarray(marks.T)
-        width, n_rows = times.shape
-        inside = (times <= self.window.T) & (marks <= self.window.M)
-        inside &= np.arange(width)[:, None] < n_valid
-        accepted = np.zeros((width, n_rows), dtype=bool)
+        stacked = marks.ndim == 3
+        times = np.ascontiguousarray(times.T)
+        marks = np.ascontiguousarray(np.moveaxis(marks if stacked else marks[None], -1, 0))
+        width = times.shape[0]
+        inside = (times <= self.window.T) & (np.arange(width)[:, None] < n_valid)
+        accepted = np.zeros(marks.shape, dtype=bool)
         for i in range(width):
             vals = kernel._eval(np.maximum(times[i] - times[:i], 0.0)) if i else ()
-            accepted[i] = inside[i] & (marks[i] <= _intensity(mu, vals, accepted[:i]))
-        return accepted.sum(axis=0).astype(float)
+            lam = _intensity(mu, vals, accepted[:i])
+            accepted[i] = inside[i] & (marks[i] <= self.window.M) & (marks[i] <= lam)
+        counts = accepted.sum(axis=0).astype(float)
+        return counts if stacked else counts[0]

@@ -42,8 +42,13 @@ class Functional:
 
     def eval_packed(self, times: np.ndarray, marks: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
         """Evaluate on a padded batch: row r holds n_valid[r] atoms sorted by
-        time; an atom with mark +inf is treated as absent. Subclasses may
-        vectorize; this fallback builds one configuration per row."""
+        time; an atom with mark +inf is treated as absent. marks is
+        (rows, width), or a stack (masks, rows, width) of mark sets over the
+        same times, and the result is (rows,) or (masks, rows) to match.
+        Subclasses may vectorize; this fallback builds one configuration per
+        row, once per mark set."""
+        if marks.ndim == 3:
+            return np.stack([self.eval_packed(times, m, n_valid) for m in marks])
         out = np.empty(len(times))
         for r in range(len(times)):
             nv = int(n_valid[r])
@@ -74,7 +79,7 @@ class ConstantFunctional(Functional):
         return self.value
 
     def eval_packed(self, times, marks, n_valid):
-        return np.full(len(times), self.value)
+        return np.full(marks.shape[:-1], self.value)
 
 
 class RectangleCount(Functional):
@@ -86,7 +91,7 @@ class RectangleCount(Functional):
     def eval_packed(self, times, marks, n_valid):
         inside = (times <= self.window.T) & (marks <= self.window.M)
         inside &= np.arange(times.shape[1]) < n_valid[:, None]
-        return inside.sum(axis=1).astype(float)
+        return inside.sum(axis=-1).astype(float)
 
 
 @dataclass(frozen=True)

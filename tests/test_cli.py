@@ -172,6 +172,8 @@ BAD_INPUT_FILES = {
     "budget2.cfg": VALID + "budget = 2\n",
     "split.cfg": VALID + "split = 0.5\n",            # a key RunConfig no longer has
     "inf_h.cfg": VALID + "h = inf\n",
+    "j_max23.cfg": VALID + "j_max = 23\n",           # one over the default budget of 22
+    "j_max_huge.cfg": VALID + f"j_max = {2**40}\n",
 }
 
 
@@ -193,6 +195,9 @@ BAD_INPUT_FILES = {
         ["--config", "budget2.cfg", "coeff", "--points", "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"],
         ["--config", "split.cfg", "simulate"],
         ["--config", "inf_h.cfg", "expect"],
+        ["--config", "j_max23.cfg", "characterize"],
+        ["--config", "j_max_huge.cfg", "characterize"],
+        ["--config", "budget2.cfg", "--paths", "20", "characterize"],   # j_max 4 > budget 2
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -248,7 +253,9 @@ _BOUNDED = {
     "mu": st.floats(0.1, 3.0), "T": st.floats(0.1, 5.0), "M": st.floats(0.1, 5.0),
     "kernel": st.sampled_from(["exp", "zero"]), "alpha": st.floats(0.0, 1.2),
     "beta": st.floats(1.0, 5.0), "seed": st.integers(0, 2**64), "n_paths": st.integers(1, 50),
-    "h": st.floats(0.01, 2.0), "n_max": st.integers(1, 40), "j_max": st.integers(1, 3),
+    "h": st.floats(0.01, 2.0), "n_max": st.integers(1, 40),
+    # j_max above 22 exceeds every budget drawn here and the default
+    "j_max": st.one_of(st.integers(1, 3), st.integers(23, 2**40)),
     "points_per_path": st.integers(1, 3), "thinning": st.sampled_from(["capped", "exact"]),
     "budget": st.integers(0, 16),
 }
@@ -280,7 +287,8 @@ _COMMAND_ARGS = st.sampled_from(sorted(set(_COMMANDS) - {"selfcheck"})).flatmap(
 @settings(max_examples=300)
 def test_main_exits_with_a_documented_code(tmp_path_factory, overrides, junk, command):
     """Every subcommand but selfcheck, on a bounded config with at most one junk
-    value, exits 0, 1 or 2 with no traceback."""
+    value, exits 0, 1 or 2 with no traceback; characterize with j_max over the
+    atom budget exits 2."""
     lines = {"n_paths": "20", **overrides, **dict([junk] if junk else [])}   # the last value wins
     path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
     path.write_text(VALID + "".join(f"{key} = {value}\n" for key, value in lines.items()))
@@ -292,3 +300,6 @@ def test_main_exits_with_a_documented_code(tmp_path_factory, overrides, junk, co
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    j_max, budget = lines.get("j_max", "4"), lines.get("budget", "22")
+    if command == ["characterize"] and j_max.isdigit() and budget.isdigit() and int(j_max) > int(budget):
+        assert code == 2   # refused before any mask is built

@@ -396,6 +396,12 @@ def test_characterization_rejects_empty_draws(params_small, j_max, points_per_pa
         )
 
 
+def test_characterization_rejects_no_paths(params_small):
+    F = HawkesCount(params_small)
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+        characterization_check(F, params_small.window, 2, 0, (44, 0))
+
+
 def test_chaotic_coefficient_poisson_is_constant(zero_kernel):
     params = HawkesParams(mu=1.0, kernel=zero_kernel, window=Window(T=2.0, M=2.0))
     est = chaotic_coefficient_mc(params, 1, [Point(1.0, 0.5)], 200, (45, 0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pseudochaos import (
+    AtomBudgetExceeded,
     ExperimentSpec,
     HawkesParams,
     Kernel,
@@ -84,6 +85,8 @@ def test_run_experiment_parallel_matches_serial(tmp_path, params_default, params
         ExperimentSpec("reconstruction", params_small, 600, seed=6, budget=6),
         ExperimentSpec("residual", params_default, 600, seed=6),
         ExperimentSpec("histogram", params_default, 600, seed=6),
+        # 600 paths are two characterization chunks of up to 512
+        ExperimentSpec("characterization", params_small, 600, seed=6, j_max=3, points_per_path=2),
     ]
     for i, spec in enumerate(specs):
         serial = run_experiment(spec, out_dir=tmp_path / f"serial{i}", n_jobs=1)
@@ -93,6 +96,12 @@ def test_run_experiment_parallel_matches_serial(tmp_path, params_default, params
         assert [a.name for a in serial.artifacts] == [b.name for b in parallel.artifacts]
         for a, b in zip(serial.artifacts, parallel.artifacts):
             assert a.read_bytes() == b.read_bytes(), (spec, a.name)
+
+
+def test_characterization_statistic_honours_the_budget(params_small):
+    spec = ExperimentSpec("characterization", params_small, 10, seed=6, j_max=3, budget=2)
+    with pytest.raises(AtomBudgetExceeded, match="3 atoms exceed the enumeration budget of 2"):
+        run_experiment(spec)
 
 
 def test_reconstruction_audit_matches_runner(exp_kernel):
