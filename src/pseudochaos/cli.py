@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 failed check or I/O error, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -14,11 +13,10 @@ import numpy as np
 
 from . import expansion, harness
 from .configurations import (
-    DEFAULT_ATOM_BUDGET, AtomBudgetExceeded, Point, Window, read_csv, sample_poisson,
+    DEFAULT_ATOM_BUDGET, AtomBudgetExceeded, Point, Window, _write_rows, read_csv, sample_poisson,
 )
-from .hawkes import HawkesCount, HawkesParams
+from .hawkes import HawkesParams
 from .kernels import Kernel, StabilityError, build_ladder
-from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1
 from .mc import MCEstimate
 
 
@@ -144,19 +142,19 @@ def _require_band(cfg: RunConfig) -> None:
         raise ConfigError(f"n_paths must be >= 2 for a 3-se band check, got {cfg.n_paths}")
 
 
-def _emit(rows, header, out_dir, name):
-    if out_dir is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / name, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {path / name}")
+def _spec(cfg: RunConfig, params: HawkesParams, statistic: str, **overrides) -> harness.ExperimentSpec:
+    """The experiment cfg describes for one statistic; overrides win."""
+    settings = dict(thinning=cfg.thinning, budget=cfg.budget, j_max=cfg.j_max,
+                    points_per_path=cfg.points_per_path) | overrides
+    return harness.ExperimentSpec(statistic, params, cfg.n_paths, cfg.seed, **settings)
+
+
+def _out_path(ns, name: str) -> Path | None:
+    """The named file in --out's directory, made if missing; None (stdout) without --out."""
+    if ns.out is None:
+        return None
+    Path(ns.out).mkdir(parents=True, exist_ok=True)
+    return Path(ns.out) / name
 
 
 def _parse_points(text: str) -> list[Point]:
@@ -182,10 +180,7 @@ def _pm(est: MCEstimate) -> str:
 
 
 def cmd_simulate(cfg: RunConfig, params: HawkesParams, ns) -> int:
-    spec = harness.ExperimentSpec(
-        "hawkes_mean", params, cfg.n_paths, cfg.seed, thinning=cfg.thinning
-    )
-    res = harness.run_experiment(spec, out_dir=ns.out)
+    res = harness.run_experiment(_spec(cfg, params, "hawkes_mean"), out_dir=ns.out)
     h = res.headline
     print(f"event count over {h.n} paths ({cfg.thinning}): {_pm(h)}")
     print(f"overflow fraction: {res.extra['overflow_fraction']:.5f}")
@@ -196,7 +191,7 @@ def cmd_expect(cfg: RunConfig, params: HawkesParams, ns) -> int:
     _require_band(cfg)
     ladder = build_ladder(params.kernel, cfg.h, cfg.T, cfg.n_max)
     ana = harness.expected_count_analytic(params, ladder)
-    spec = harness.ExperimentSpec("hawkes_mean", params, cfg.n_paths, cfg.seed, thinning="exact")
+    spec = _spec(cfg, params, "hawkes_mean", thinning="exact")
     mc = harness.run_experiment(spec, out_dir=ns.out).headline
     ok = mc.within(ana.value, slack=ana.error_budget)
     print(f"analytic mean: {ana.value:.5f} (error budget {ana.error_budget:.2g})")
@@ -229,7 +224,9 @@ def cmd_coeff(cfg: RunConfig, params: HawkesParams, ns) -> int:
         flat += [""] * (2 * k_top - len(flat))
         c_k = expansion.hawkes_coefficient(params, q, budget=cfg.budget)
         rows.append([len(q)] + flat + [c_k])
-    _emit(rows, header, ns.out, "coefficients.csv")
+    path = _write_rows(_out_path(ns, "coefficients.csv"), header, rows)
+    if path is not None:
+        print(f"wrote {path}")
     return 0
 
 
@@ -246,13 +243,14 @@ def cmd_reconstruct(cfg: RunConfig, params: HawkesParams, ns) -> int:
     rows.append(["total", report.total])
     rows.append(["event_count", report.event_count])
     rows.append(["exact_match", report.exact_match])
-    _emit(rows, ["k", "coefficient_sum"], ns.out, "reconstruction.csv")
+    path = _write_rows(_out_path(ns, "reconstruction.csv"), ["k", "coefficient_sum"], rows)
+    if path is not None:
+        print(f"wrote {path}")
     return 0 if report.exact_match else 1
 
 
 def cmd_branching(cfg: RunConfig, params: HawkesParams, ns) -> int:
-    spec = harness.ExperimentSpec("histogram", params, cfg.n_paths, cfg.seed)
-    res = harness.run_experiment(spec, out_dir=ns.out)
+    res = harness.run_experiment(_spec(cfg, params, "histogram"), out_dir=ns.out)
     total = res.extra["total_mean"]
     print(f"mean value at horizon: {_pm(total)}")
     print(f"fraction of jumps >= 2: {res.extra['frac_jumps_ge2']:.5f}")
@@ -261,12 +259,10 @@ def cmd_branching(cfg: RunConfig, params: HawkesParams, ns) -> int:
 
 def cmd_characterize(cfg: RunConfig, params: HawkesParams, ns) -> int:
     _require_band(cfg)
-    report = expansion.characterization_check(
-        HawkesCount(params), params.window, cfg.j_max, cfg.n_paths,
-        (cfg.seed, 0), points_per_path=cfg.points_per_path, budget=cfg.budget,
-    )
-    rows = [[j + 1, t.mean, t.se] for j, t in enumerate(report.terms)]
-    _emit(rows, ["order", "term_mean", "term_se"], ns.out, "characterization.csv")
+    res = harness.run_experiment(_spec(cfg, params, "characterization"), out_dir=ns.out)
+    report = res.extra["report"]
+    for j, term in enumerate(report.terms, start=1):
+        print(f"order {j}: {_pm(term)}")
     print(f"cumulative: {_pm(report.cumulative)}")
     print(f"reference E[F]: {_pm(report.reference)}")
     print(f"residual: {_pm(report.residual)} "
@@ -278,15 +274,11 @@ def cmd_characterize(cfg: RunConfig, params: HawkesParams, ns) -> int:
 
 def cmd_ipp(cfg: RunConfig, params: HawkesParams, ns) -> int:
     _require_band(cfg)
-    window = params.window
-    cases = [
-        ("hawkes_count", HawkesCount(params)),
-        ("window_count", RectangleCount(window)),
-        ("constant", ConstantFunctional(3.0, window)),
-    ]
     ok = True
-    for name, F in cases:
-        check = ipp_check_order1(F, window, cfg.n_paths, (cfg.seed, 0))
+    for name in harness.IPP_FUNCTIONALS:
+        out_dir = None if ns.out is None else Path(ns.out) / name
+        res = harness.run_experiment(_spec(cfg, params, "ipp", functional=name), out_dir=out_dir)
+        check = res.extra["check"]
         good = check.diff.within(0.0)
         if name == "constant":
             good = good and check.lhs.mean == 0.0
@@ -344,8 +336,10 @@ def main(argv=None) -> int:
     try:
         cfg, params = _load_config(ns)
         return _COMMANDS[ns.command](cfg, params, ns)
-    except (ValueError, AtomBudgetExceeded, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, AtomBudgetExceeded, FileNotFoundError, MemoryError) as exc:
+        # numpy refuses an allocation larger than memory at once, having used none
+        hint = "; lower T, M, n_paths or n_max, or raise h" if isinstance(exc, MemoryError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

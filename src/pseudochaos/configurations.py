@@ -2,9 +2,11 @@
 sampling of them, atom insertion, and subset enumeration."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -179,13 +181,25 @@ def iter_subsets(
 
 
 def write_csv(config: Configuration, path, rng_key: RngKey | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if rng_key is not None:
-            fh.write(f"# rng_key={rng_key[0]},{rng_key[1]}\n")
+    comment = None if rng_key is None else f"rng_key={rng_key[0]},{rng_key[1]}"
+    _write_rows(path, ["t", "theta"], ((p.t, p.theta) for p in config.atoms), comment)
+
+
+def _write_rows(path, header, rows, comment: str | None = None):
+    """Write header and rows as CSV to path (stdout if None) and return path:
+    floats as %.17g, which reads back exactly, None as an empty field, the
+    rest by str. A comment goes first, as a '# ' line."""
+    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with target as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["t", "theta"])
-        for p in config.atoms:
-            writer.writerow([f"{p.t:.17g}", f"{p.theta:.17g}"])
+        writer.writerow(header)
+        writer.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v) for v in row]
+            for row in rows
+        )
+    return path
 
 
 def _read_pairs(path, header: str) -> list[tuple[float, float]]:

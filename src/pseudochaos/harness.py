@@ -4,7 +4,6 @@ the table of acceptance criteria behind the test suite and the CLI selfcheck."""
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import branching, expansion
-from .configurations import DEFAULT_ATOM_BUDGET, Point, Window, sample_poisson
+from .configurations import DEFAULT_ATOM_BUDGET, Point, Window, _write_rows, sample_poisson
 from .hawkes import HawkesCount, HawkesParams, simulate, solve_path
 from .kernels import ConvolutionLadder, Kernel, build_ladder
 from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1, iterated_difference
@@ -29,6 +28,13 @@ STATISTICS = (
     "characterization",
     "ipp",
 )
+
+# the functionals the ipp statistic can check, by the name a spec gives
+IPP_FUNCTIONALS = {
+    "hawkes_count": HawkesCount,
+    "window_count": lambda params: RectangleCount(params.window),
+    "constant": lambda params: ConstantFunctional(3.0, params.window),
+}
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,13 @@ class ExperimentSpec:
     budget: int = DEFAULT_ATOM_BUDGET  # reconstruction and characterization
     j_max: int = 4                    # characterization only
     points_per_path: int = 1          # characterization only
+    functional: str = "hawkes_count"  # ipp only: a key of IPP_FUNCTIONALS
 
     def __post_init__(self):
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}; pick from {STATISTICS}")
+        if self.functional not in IPP_FUNCTIONALS:
+            raise ValueError(f"unknown functional {self.functional!r}; pick from {tuple(IPP_FUNCTIONALS)}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
 
@@ -238,9 +247,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
                ("reference", report.reference.mean, report.reference.se)],
         )
     elif spec.statistic == "ipp":
-        check = ipp_check_order1(
-            HawkesCount(spec.params), spec.params.window, spec.n_paths, (spec.seed, 0)
-        )
+        F = IPP_FUNCTIONALS[spec.functional](spec.params)
+        check = ipp_check_order1(F, spec.params.window, spec.n_paths, (spec.seed, 0))
         headline = check.diff
         extra["check"] = check
     else:  # unreachable: spec validates
@@ -251,9 +259,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in artifact_rows.items():
-            result.artifacts.append(_write_csv(out / name, header, rows))
+            result.artifacts.append(_write_rows(out / name, header, rows))
         result.artifacts.append(
-            _write_csv(
+            _write_rows(
                 out / "results.csv",
                 ["statistic", "mean", "se", "n", "seed"],
                 [(spec.statistic, headline.mean, headline.se, headline.n, spec.seed)],
@@ -264,23 +272,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
             fh.write(json.dumps({"spec": _spec_dict(spec)}, sort_keys=True) + "\n")
         result.artifacts.append(log)
     return result
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path
 
 
 def _spec_dict(spec: ExperimentSpec) -> dict:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 from dataclasses import fields
 
@@ -15,7 +16,9 @@ from pseudochaos.cli import (
     parse_config,
     serialize_config,
 )
+from pseudochaos.harness import IPP_FUNCTIONALS, ExperimentSpec, run_experiment
 from pseudochaos.kernels import Kernel, StabilityError
+from pseudochaos.malliavin import ipp_check_order1
 
 VALID = "mu = 1.0\nT = 5\nM = 4\nkernel = exp\nalpha = 0.5\nbeta = 1.0\nseed = 7\n"
 
@@ -126,7 +129,8 @@ def test_coeff_subcommand_emits_csv(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "k,t_1,theta_1,t_2,theta_2,c_k"
-    assert out[1] == "2,1.0,0.5,2.0,1.1,1"
+    # floats print as %.17g, like every CSV the package writes
+    assert out[1] == "2,1,0.5,2,1.1000000000000001,1"
 
 
 def test_reconstruct_subcommand_on_provided_atoms(tmp_path, capsys):
@@ -138,6 +142,86 @@ def test_reconstruct_subcommand_on_provided_atoms(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "exact_match,True" in out
+
+
+# T = 2 keeps the characterization band narrow enough to pass at 600 paths
+CHAR = VALID.replace("T = 5", "T = 2") + "n_paths = 600\npoints_per_path = 2\n"
+# the order terms characterize printed as CSV before it ran through run_experiment
+CHAR_TERMS = [
+    (3.5933333333333333, 0.18012526814435884),
+    (-0.9866666666666667, 0.24853434216575243),
+    (-0.42666666666666664, 0.4927750303835084),
+    (-0.14222222222222225, 0.8420800060430262),
+]
+
+# stdout of each Monte Carlo subcommand at a fixed seed, pinned on the tree
+# where characterize and ipp still called their estimators directly
+PINNED_STDOUT = {
+    "simulate": (["--seed", "11", "--paths", "300"], [
+        "event count over 300 paths (capped): 8.35000 +- 0.27920",
+        "overflow fraction: 0.04333",
+    ]),
+    "expect": (["--seed", "11", "--paths", "300"], [
+        "analytic mean: 8.16418 (error budget 8.3e-06)",
+        "mc mean (300 paths, exact thinning): 8.60667 +- 0.29495",
+        "agreement within 3 se + budget: yes",
+    ]),
+    "branching": (["--seed", "11", "--paths", "300"], [
+        "mean value at horizon: 8.14333 +- 0.49333",
+        "fraction of jumps >= 2: 0.21447",
+    ]),
+    "characterize": (["--config", "char.cfg"], [
+        *(f"order {j}: {mean:.5f} +- {se:.5f}" for j, (mean, se) in enumerate(CHAR_TERMS, 1)),
+        "cumulative: 2.03778 +- 1.14293",
+        "reference E[F]: 2.68833 +- 0.09664",
+        "residual: -0.65056 +- 1.14683 (truncation budget 2.66846)",
+        "identity holds within 3 se + budget: yes",
+    ]),
+    "ipp": (["--seed", "5", "--paths", "400"], [
+        "hawkes_count: lhs 12.75000 rhs 16.36250 diff -3.61250 +- 2.79826 -> ok",
+        "window_count: lhs 20.00000 rhs 26.83250 diff -6.83250 +- 5.23523 -> ok",
+        "constant: lhs 0.00000 rhs 0.87750 diff -0.87750 +- 0.68656 -> ok",
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_monte_carlo_subcommands_print_pinned_numbers(command, tmp_path, monkeypatch, capsys):
+    (tmp_path / "char.cfg").write_text(CHAR)
+    monkeypatch.chdir(tmp_path)
+    options, lines = PINNED_STDOUT[command]
+    assert main(options + [command]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_characterize_out_is_run_experiments_artifacts(tmp_path, capsys):
+    cfg = tmp_path / "char.cfg"
+    cfg.write_text(CHAR)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "cli"), "characterize"]) == 0
+    spec = ExperimentSpec("characterization", build_params(parse_config(CHAR)), 600, seed=7,
+                          points_per_path=2)
+    res = run_experiment(spec, out_dir=tmp_path / "lib")
+    assert [a.name for a in res.artifacts] == ["characterization.csv", "results.csv", "run.jsonl"]
+    for artifact in res.artifacts:
+        assert (tmp_path / "cli" / artifact.name).read_bytes() == artifact.read_bytes()
+    with open(tmp_path / "cli" / "characterization.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["order", "mean", "se"]
+    assert [(float(m), float(se)) for _, m, se in rows[1:5]] == CHAR_TERMS
+    assert [row[0] for row in rows[5:]] == ["cumulative", "reference"]
+
+
+def test_ipp_out_writes_one_directory_per_functional(tmp_path, capsys):
+    assert main(["--seed", "5", "--paths", "400", "--out", str(tmp_path), "ipp"]) == 0
+    params = build_params(RunConfig())
+    for name, make in IPP_FUNCTIONALS.items():
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["results.csv", "run.jsonl"]
+        with open(tmp_path / name / "results.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert header == ["statistic", "mean", "se", "n", "seed"]
+        diff = ipp_check_order1(make(params), params.window, 400, (5, 0)).diff
+        assert row == ["ipp", f"{diff.mean:.17g}", f"{diff.se:.17g}", "400", "5"]
+        assert (float(row[1]), float(row[2])) == (diff.mean, diff.se)
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
@@ -174,6 +258,9 @@ BAD_INPUT_FILES = {
     "inf_h.cfg": VALID + "h = inf\n",
     "j_max23.cfg": VALID + "j_max = 23\n",           # one over the default budget of 22
     "j_max_huge.cfg": VALID + f"j_max = {2**40}\n",
+    # numpy refuses these allocations (TiB and PiB) at once, before using any memory
+    "tiny_h.cfg": VALID + "h = 1e-12\n",
+    "huge_T.cfg": VALID.replace("T = 5", "T = 1e15"),
 }
 
 
@@ -198,6 +285,9 @@ BAD_INPUT_FILES = {
         ["--config", "j_max23.cfg", "characterize"],
         ["--config", "j_max_huge.cfg", "characterize"],
         ["--config", "budget2.cfg", "--paths", "20", "characterize"],   # j_max 4 > budget 2
+        ["--config", "tiny_h.cfg", "expect"],
+        *(["--config", "huge_T.cfg", command]
+          for command in ("simulate", "expect", "branching", "characterize", "ipp")),
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -208,6 +298,13 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_oversized_run_names_what_to_lower(tmp_path, capsys):
+    cfg = tmp_path / "huge_T.cfg"
+    cfg.write_text(BAD_INPUT_FILES["huge_T.cfg"])
+    assert main(["--config", str(cfg), "simulate"]) == 2
+    assert capsys.readouterr().err.endswith("; lower T, M, n_paths or n_max, or raise h\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "branching"])

@@ -207,3 +207,5 @@ def test_spec_validation(params_small):
         ExperimentSpec("nonsense", params_small, 10, seed=0)
     with pytest.raises(ValueError, match="n_paths"):
         ExperimentSpec("hawkes_mean", params_small, 0, seed=0)
+    with pytest.raises(ValueError, match="functional"):
+        ExperimentSpec("ipp", params_small, 10, seed=0, functional="nonsense")
