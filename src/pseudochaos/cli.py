@@ -337,8 +337,10 @@ def main(argv=None) -> int:
         cfg, params = _load_config(ns)
         return _COMMANDS[ns.command](cfg, params, ns)
     except (ValueError, AtomBudgetExceeded, FileNotFoundError, MemoryError) as exc:
-        # numpy refuses an allocation larger than memory at once, having used none
-        hint = "; lower T, M, n_paths or n_max, or raise h" if isinstance(exc, MemoryError) else ""
+        # numpy refuses an allocation larger than memory at once, having used
+        # none, and one past the address space with ValueError("array is too big")
+        too_big = isinstance(exc, MemoryError) or "array is too big" in str(exc)
+        hint = "; lower T, M, n_paths or n_max, or raise h" if too_big else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -110,6 +110,18 @@ class ReconstructionReport:
     exact_match: bool
 
 
+@functools.cache
+def _binomial_row(k: int) -> tuple[int, ...]:
+    """C(k, s) for s = 0..k."""
+    return tuple(math.comb(k, s) for s in range(k + 1))
+
+
+@functools.cache
+def _signed_binomial_row(m: int) -> tuple[int, ...]:
+    """(-1)^b C(m, b) for b = 0..m."""
+    return tuple((-1) ** b * c for b, c in enumerate(_binomial_row(m)))
+
+
 def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray):
     """For each atom i in time order, yield (k, h): k counts the live atoms
     before it, and h[s] the number of size-s subsets of those k atoms on whose
@@ -121,8 +133,8 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
     - dead, if its mark exceeds top: it is accepted on no subset. Its
       indicator would add an exact 0.0 wherever a later fold met it, so it
       gets no bit, and every subset that holds it has coefficient 0;
-    - always accepted, if its mark is at most mu: h is the binomial row, and
-      its indicator is the scalar True;
+    - always accepted, if its mark is at most mu: h is the binomial row (a
+      cached tuple, shared between calls), and its indicator is the scalar True;
     - undecided, otherwise: its intensities over the 2**k masks of the live
       earlier atoms are built by doubling. A mask with top bit q is m + 2**q
       with m < 2**q, so lam[m + 2**q] = lam[m] + phi(t_i - t_j) * ind_j[m],
@@ -146,7 +158,7 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
         live.append(i)
         if mark <= mu:
             inds.append(True)
-            yield k, [math.comb(k, s) for s in range(k + 1)]
+            yield k, _binomial_row(k)
             continue
         if not len(lam):
             # one allocation for every later atom, which sees at most the
@@ -181,12 +193,10 @@ def _coefficient_table(params: HawkesParams, config: Configuration) -> list[int]
     sum_s (-1)^(a-s) C(k-s, a-s) h[s] to the size-(a+1) sum, in exact
     integers.
     """
-    n = len(config)
-    signed = [[(-1) ** b * math.comb(m, b) for b in range(m + 1)] for m in range(n)]
-    per_size = [0] * n
+    per_size = [0] * len(config)
     for k, h in _size_histograms(params, config.times, config.marks):
         for s, count in enumerate(h):
-            for a, weight in enumerate(signed[k - s], s):
+            for a, weight in enumerate(_signed_binomial_row(k - s), s):
                 per_size[a] += weight * count
     return per_size
 

@@ -208,13 +208,34 @@ class ConvolutionLadder:
         return float(np.trapezoid(self.resolvent, dx=self.step))
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest odd * 2^a >= n
+            best = min(best, odd << ((n - 1) // odd).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def build_ladder(kernel: Kernel, step: float, horizon: float, n_max: int = 40) -> ConvolutionLadder:
     """Build phi_1..phi_{n_max} by iterated discrete convolution (trapezoid rule).
 
-    Each level's convolution sum is one real FFT product, zero-padded so the
-    first ``n_nodes`` outputs never wrap: O(N log N) per level. Levels carry
-    about 1e-16 absolute rounding against the direct sum, so a node where that
-    sum is exactly 0 may read -1e-17 here.
+    Each level's convolution sum is one real FFT product: O(N log N) per
+    level. Only phi's support takes part: ``n_phi`` is its last nonzero node
+    plus one (a table is exactly 0 past its last node, an exponential once it
+    underflows), and the sum is causal, so output node i only reads phi at
+    nodes <= i and dropping phi's exact zeros changes no term. The linear
+    convolution of ``phi[:n_phi]`` with a level then has length
+    ``n_nodes + n_phi - 1``, and a transform at least that long never wraps
+    into the kept first ``n_nodes`` outputs. The length is the smallest
+    2^a 3^b 5^c at or above that bound, which numpy's FFT factors fast.
+    Levels carry about 1e-16 absolute rounding against the direct sum, so a
+    node where that sum is exactly 0 may read -1e-17 here.
 
     Requires the kernel's L1 mass to be < 1; the geometric decay of the level
     masses then bounds the truncated resolvent tail by
@@ -234,13 +255,17 @@ def build_ladder(kernel: Kernel, step: float, horizon: float, n_max: int = 40) -
 
     levels = np.empty((n_max, n_nodes))
     levels[0] = phi
-    nfft = 1 << (2 * n_nodes - 2).bit_length()     # >= 2 * n_nodes - 1: no wrap
-    phi_hat = np.fft.rfft(phi, nfft)
+    nonzero = np.flatnonzero(phi)
+    n_phi = int(nonzero[-1]) + 1 if len(nonzero) else 1
+    nfft = _fft_length(n_nodes + n_phi - 1)
+    phi_hat = np.fft.rfft(phi[:n_phi], nfft)
+    # the transforms write into reused buffers: fewer allocations, same bits
+    spectrum, product = np.empty(len(phi_hat), dtype=complex), np.empty(nfft)
     for n in range(1, n_max):
         prev = levels[n - 1]
-        conv = np.fft.irfft(phi_hat * np.fft.rfft(prev, nfft), nfft)[:n_nodes]
+        conv = np.fft.irfft(phi_hat * np.fft.rfft(prev, nfft, out=spectrum), nfft, out=product)
         # trapezoid end-point correction for the convolution integral
-        levels[n] = step * (conv - 0.5 * (phi * prev[0] + phi[0] * prev))
+        levels[n] = step * (conv[:n_nodes] - 0.5 * (phi * prev[0] + phi[0] * prev))
 
     l1 = kernel.l1_norm
     tail = l1 ** (n_max + 1) / (1.0 - l1)

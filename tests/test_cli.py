@@ -301,10 +301,19 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
 
 
 def test_oversized_run_names_what_to_lower(tmp_path, capsys):
-    cfg = tmp_path / "huge_T.cfg"
-    cfg.write_text(BAD_INPUT_FILES["huge_T.cfg"])
-    assert main(["--config", str(cfg), "simulate"]) == 2
-    assert capsys.readouterr().err.endswith("; lower T, M, n_paths or n_max, or raise h\n")
+    # numpy raises MemoryError for most of these, and ValueError("array is too
+    # big") for characterize's sample; both get the hint
+    runs = [("tiny_h.cfg", "expect")] + [
+        ("huge_T.cfg", command)
+        for command in ("simulate", "expect", "branching", "characterize", "ipp")
+    ]
+    for name, command in runs:
+        cfg = tmp_path / name
+        cfg.write_text(BAD_INPUT_FILES[name])
+        assert main(["--config", str(cfg), command]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), command
+        assert err.endswith("; lower T, M, n_paths or n_max, or raise h\n"), (command, err)
 
 
 @pytest.mark.parametrize("command", ["simulate", "branching"])

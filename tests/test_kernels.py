@@ -17,6 +17,7 @@ from pseudochaos import (
     build_ladder,
     chain_length_totals,
     conditional_residual,
+    expected_count_analytic,
     hawkes_coefficient,
     reconstruct,
     run_experiment,
@@ -182,8 +183,19 @@ TABLE_801 = Kernel.from_table(0.01, 0.5 * np.exp(-0.01 * np.arange(801)))
         (EXP, 0.05, 0.05, 6),           # two nodes
         (EXP, 0.01, 5.0, 1),
         (Kernel.zero(), 0.05, 10.0, 10),
+        # interior zeros then nonzero values: the support ends at the last
+        # nonzero node, not at the first zero
+        (Kernel.from_table(0.125, [0.3, 0.0, 0.0, 0.2, 0.1, 0.0, 0.0]), 0.0625, 3.0, 10),
+        # 10 e^{-50 t} underflows to 0.0 from t = 14.95 on, inside the grid
+        (Kernel.exponential(10.0, 50.0), 0.05, 20.0, 8),
+        # 513 nodes: 2n - 1 = 1025 is just above a power of two
+        (EXP, 0.125, 64.0, 12),
+        # the last table value (nonzero) sits exactly on grid node 4, and the
+        # bound 20 + 5 - 1 = 24 is 5-smooth: the transform has no spare point
+        (Kernel.from_table(0.25, [0.4, 0.4, 0.4]), 0.125, 2.375, 8),
     ],
-    ids=["exp", "table801", "table_support_inside", "odd_nodes", "two_nodes", "n_max_1", "zero"],
+    ids=["exp", "table801", "table_support_inside", "odd_nodes", "two_nodes", "n_max_1", "zero",
+         "interior_zeros", "exp_underflow", "just_above_pow2", "support_on_node"],
 )
 def test_ladder_matches_direct_recursion(kernel, step, horizon, n_max):
     ladder = build_ladder(kernel, step, horizon, n_max)
@@ -193,6 +205,39 @@ def test_ladder_matches_direct_recursion(kernel, step, horizon, n_max):
     assert np.max(np.abs(ladder.resolvent - direct.sum(axis=0))) <= 1e-14
     if kernel.l1_norm == 0.0:
         assert np.all(ladder.resolvent == 0.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, resolvent_sum, value, budget",
+    [
+        (EXP, 92.06236120631638, 8.164176387039754, 8.301938281274346e-06),
+        (TABLE_801, 92.06236120631638, 8.164176387039754, 8.301938219211778e-06),
+    ],
+    ids=["exp", "table801"],
+)
+def test_desk_ladders_keep_their_bits(kernel, resolvent_sum, value, budget):
+    # the desk ladders (501 nodes at step 0.01) keep a 1024-point transform,
+    # so these are the bits of the untrimmed power-of-two ladder
+    ladder = build_ladder(kernel, 0.01, 5.0, 40)
+    params = HawkesParams(mu=1.0, kernel=kernel, window=Window(T=5.0, M=4.0))
+    ana = expected_count_analytic(params, ladder)
+    assert float(ladder.resolvent.sum()) == resolvent_sum
+    assert ana.value == value
+    assert ana.error_budget == budget
+
+
+def test_fft_length_is_the_smallest_5_smooth_at_or_above():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    for n in range(1, 3000):
+        want = next(m for m in range(n, 2 * n + 1) if smooth(m))
+        assert kernels._fft_length(n) == want, n
+    assert kernels._fft_length(24001) == 24300   # the fine desk_table ladder
+    assert kernels._fft_length(1001) == 1024     # the desk ladders
 
 
 def test_ladder_rejects_unstable_and_bad_step():
