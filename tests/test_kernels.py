@@ -188,7 +188,7 @@ TABLE_801 = Kernel.from_table(0.01, 0.5 * np.exp(-0.01 * np.arange(801)))
         (Kernel.from_table(0.125, [0.3, 0.0, 0.0, 0.2, 0.1, 0.0, 0.0]), 0.0625, 3.0, 10),
         # 10 e^{-50 t} underflows to 0.0 from t = 14.95 on, inside the grid
         (Kernel.exponential(10.0, 50.0), 0.05, 20.0, 8),
-        # 513 nodes: 2n - 1 = 1025 is just above a power of two
+        # 513 nodes: 2n - 1 = 1025 is just above a power of two, so 1024 points would wrap
         (EXP, 0.125, 64.0, 12),
         # the last table value (nonzero) sits exactly on grid node 4, and the
         # bound 20 + 5 - 1 = 24 is 5-smooth: the transform has no spare point
