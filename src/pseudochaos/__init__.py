@@ -18,7 +18,6 @@ from .configurations import (
     TimeCollisionError,
     Window,
     add_points,
-    iter_subsets,
     sample_poisson,
 )
 from .expansion import (

@@ -309,6 +309,13 @@ _COMMANDS = {
 }
 
 
+# what else a run that meets the atom budget can change, by subcommand
+_BUDGET_HINTS = {
+    "reconstruct": ", pass fewer atoms with --atoms, or pick another --seed",
+    "characterize": ", or lower j_max",
+}
+
+
 def build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pseudochaos",
@@ -341,6 +348,8 @@ def main(argv=None) -> int:
         # none, and one past the address space with ValueError("array is too big")
         too_big = isinstance(exc, MemoryError) or "array is too big" in str(exc)
         hint = "; lower T, M, n_paths or n_max, or raise h" if too_big else ""
+        if isinstance(exc, AtomBudgetExceeded):
+            hint = "; raise budget in the --config file" + _BUDGET_HINTS.get(ns.command, "")
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except OSError as exc:

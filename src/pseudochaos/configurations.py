@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -163,21 +162,6 @@ def add_points(config: Configuration, extra: Iterable[Point]) -> Configuration:
         by_time[p.t] = p.theta
     atoms = tuple(Point(t, th) for t, th in sorted(by_time.items()))
     return Configuration(window=config.window, atoms=atoms)
-
-
-def iter_subsets(
-    config: Configuration,
-    max_size: int | None = None,
-    budget: int = DEFAULT_ATOM_BUDGET,
-) -> Iterator[Configuration]:
-    """Yield every nonempty sub-configuration of size 1..max_size."""
-    n = len(config)
-    if n > budget:
-        raise AtomBudgetExceeded(n, budget)
-    top = n if max_size is None else min(max_size, n)
-    for k in range(1, top + 1):
-        for combo in itertools.combinations(config.atoms, k):
-            yield Configuration(window=config.window, atoms=combo)
 
 
 def write_csv(config: Configuration, path, rng_key: RngKey | None = None) -> None:

@@ -29,7 +29,7 @@ from .configurations import (
     Window,
     sample_poisson,
 )
-from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows, solve_path
+from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows
 from .malliavin import Functional, iterated_difference
 from .mc import MCEstimate, RngKey, rng_from_key
 
@@ -71,7 +71,9 @@ def hawkes_coefficient(
     top is dead, accepted on no subset, and then c_k = 0: if it is the
     latest, every indicator is 0, and otherwise the subsets with and without
     it pair off with opposite signs. So the table stops at the first dead
-    point. Cost O(2^k).
+    point. A latest point with mark at most mu is accepted on every subset,
+    so h is the binomial row of its live predecessors and c_k is 1 if there
+    are none, else 0. Cost O(2^k).
     """
     pts = _validate_points(params.window, points)
     k = len(pts)
@@ -83,8 +85,10 @@ def hawkes_coefficient(
     times = np.array([p.t for p in pts])
     marks = np.array([p.theta for p in pts])
     for live, h in _size_histograms(params, times, marks):
-        if not h:
+        if h is _DEAD:
             return 0
+    if h is _ALWAYS:
+        return int(live == 0)
     return sum((-1) ** (live - s) * count for s, count in enumerate(h))
 
 
@@ -106,42 +110,44 @@ class ReconstructionReport:
     source: Configuration
     per_size: tuple[int, ...]   # sum of c_k over size-k atom subsets, k = 1..n
     total: int
-    event_count: int            # from the path solver on the same configuration
+    event_count: int            # atoms the subset table's fold accepts: solve_path's, bit for bit
     exact_match: bool
 
 
-@functools.cache
-def _binomial_row(k: int) -> tuple[int, ...]:
-    """C(k, s) for s = 0..k."""
-    return tuple(math.comb(k, s) for s in range(k + 1))
+# what `_size_histograms` yields in place of a histogram for a dead atom and
+# for an always-accepted one
+_DEAD, _ALWAYS = "dead", "always"
 
 
 @functools.cache
 def _signed_binomial_row(m: int) -> tuple[int, ...]:
     """(-1)^b C(m, b) for b = 0..m."""
-    return tuple((-1) ** b * c for b, c in enumerate(_binomial_row(m)))
+    return tuple((-1) ** b * math.comb(m, b) for b in range(m + 1))
 
 
 def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray):
     """For each atom i in time order, yield (k, h): k counts the live atoms
     before it, and h[s] the number of size-s subsets of those k atoms on whose
-    sub-configuration atom i is accepted. h is empty when atom i is dead.
+    sub-configuration atom i is accepted, or one of two markers.
 
     Kernel terms are nonnegative and rounded addition is monotone, so on every
     subset atom i's intensity lies in [mu, top], where top folds mu and the
     lags of all live earlier atoms. So atom i falls in one of three cases:
-    - dead, if its mark exceeds top: it is accepted on no subset. Its
-      indicator would add an exact 0.0 wherever a later fold met it, so it
+    - dead (h is _DEAD), if its mark exceeds top: it is accepted on no subset.
+      Its indicator would add an exact 0.0 wherever a later fold met it, so it
       gets no bit, and every subset that holds it has coefficient 0;
-    - always accepted, if its mark is at most mu: h is the binomial row (a
-      cached tuple, shared between calls), and its indicator is the scalar True;
+    - always accepted (h is _ALWAYS), if its mark is at most mu: h would be
+      the binomial row C(k, s), and its indicator is the scalar True;
     - undecided, otherwise: its intensities over the 2**k masks of the live
       earlier atoms are built by doubling. A mask with top bit q is m + 2**q
       with m < 2**q, so lam[m + 2**q] = lam[m] + phi(t_i - t_j) * ind_j[m],
       where j is the q-th live atom and ind_j its indicator over its own masks.
     Each step is one `_intensity` call, so every mask still gets mu plus its
     accepted atoms' terms in ascending time order, and every indicator
-    decision is bitwise identical to solve_path's. Cost O(2^live) in all.
+    decision is bitwise identical to solve_path's. On the full mask the fold
+    is top itself, and solve_path's fold differs from it only by the exact
+    0.0 terms of its rejected atoms, so the live atoms are exactly the atoms
+    solve_path accepts. Cost O(2^live) in all.
     """
     mu = float(params.mu)
     live, inds = [], []   # the live atoms and their indicators, in time order
@@ -153,12 +159,12 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
         top = _intensity(mu, lags, [True] * k)
         mark = marks[i]
         if mark > top:
-            yield k, []
+            yield k, _DEAD
             continue
         live.append(i)
         if mark <= mu:
             inds.append(True)
-            yield k, _binomial_row(k)
+            yield k, _ALWAYS
             continue
         if not len(lam):
             # one allocation for every later atom, which sees at most the
@@ -180,9 +186,10 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
         yield k, np.bincount(sizes[: 1 << k][ind], minlength=k + 1).tolist()
 
 
-def _coefficient_table(params: HawkesParams, config: Configuration) -> list[int]:
+def _coefficient_table(params: HawkesParams, config: Configuration) -> tuple[list[int], int]:
     """Sum of c_k over all size-k subsets for every k = 1..n (list index
-    k - 1), in O(2^live).
+    k - 1), in O(2^live), and the number of live atoms, which is the path's
+    event count (see `_size_histograms`).
 
     A subset that holds a dead atom has coefficient 0 (see
     `hawkes_coefficient`), so only subsets of live atoms count. The
@@ -191,14 +198,23 @@ def _coefficient_table(params: HawkesParams, config: Configuration) -> list[int]
     an accepted size-s submask counts once in each of its C(k-s, a-s) size-a
     supersets, with sign (-1)^(a-s): atom i adds
     sum_s (-1)^(a-s) C(k-s, a-s) h[s] to the size-(a+1) sum, in exact
-    integers.
+    integers. An always-accepted atom has h[s] = C(k, s), and since
+    C(k, s) C(k-s, a-s) = C(k, a) C(a, s) its sum is C(k, a) (1 - 1)^a: it
+    adds exactly 1 to the size-1 sum and nothing else.
     """
     per_size = [0] * len(config)
+    events = 0
     for k, h in _size_histograms(params, config.times, config.marks):
+        if h is _DEAD:
+            continue
+        events += 1
+        if h is _ALWAYS:
+            per_size[0] += 1
+            continue
         for s, count in enumerate(h):
             for a, weight in enumerate(_signed_binomial_row(k - s), s):
                 per_size[a] += weight * count
-    return per_size
+    return per_size, events
 
 
 def reconstruct(
@@ -207,16 +223,16 @@ def reconstruct(
     budget: int = DEFAULT_ATOM_BUDGET,
 ) -> ReconstructionReport:
     """Evaluate the full expansion on a configuration and compare it with the
-    path solver's event count."""
+    path's event count, which the same pass folds: its live atoms are the
+    atoms the path solver accepts, bit for bit."""
     n = len(source)
     if n > budget:
         raise AtomBudgetExceeded(n, budget)
-    per_size = tuple(_coefficient_table(params, source))
+    per_size, event_count = _coefficient_table(params, source)
     total = sum(per_size)
-    event_count = solve_path(params, source).event_count
     return ReconstructionReport(
         source=source,
-        per_size=per_size,
+        per_size=tuple(per_size),
         total=total,
         event_count=event_count,
         exact_match=(total == event_count),

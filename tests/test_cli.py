@@ -316,6 +316,24 @@ def test_oversized_run_names_what_to_lower(tmp_path, capsys):
         assert err.endswith("; lower T, M, n_paths or n_max, or raise h\n"), (command, err)
 
 
+@pytest.mark.parametrize(
+    "argv, also",
+    [
+        # seed 7, the default, samples 24 atoms
+        (["reconstruct"], ", pass fewer atoms with --atoms, or pick another --seed"),
+        (["--config", "budget2.cfg", "coeff", "--points", "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"], ""),
+        (["--config", "budget2.cfg", "--paths", "20", "characterize"], ", or lower j_max"),
+    ],
+)
+def test_atom_budget_error_names_the_budget_setting(argv, also, capsys, tmp_path, monkeypatch):
+    (tmp_path / "budget2.cfg").write_text(BAD_INPUT_FILES["budget2.cfg"])
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "atoms exceed the enumeration budget of" in err
+    assert err.endswith(f"; raise budget in the --config file{also}\n"), err
+
+
 @pytest.mark.parametrize("command", ["simulate", "branching"])
 def test_single_path_prints_missing_se(command, capsys):
     assert main(["--paths", "1", command]) == 0

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pseudochaos import (
-    AtomBudgetExceeded,
     Configuration,
     Kernel,
     Point,
     TimeCollisionError,
     Window,
     add_points,
-    iter_subsets,
     sample_poisson,
 )
 from pseudochaos.configurations import read_csv, write_csv
@@ -85,30 +83,6 @@ def test_add_points_composes_over_disjoint_sets(grid_a, grid_b):
     b = [Point(0.1 + 0.1 * g, 0.5) for g in grid_b]
     base = Configuration.empty(w)
     assert add_points(add_points(base, a), b) == add_points(base, a + b)
-
-
-def test_subset_counts():
-    w = Window(T=5.0, M=1.0)
-    two = Configuration(w, (Point(1.0, 0.5), Point(2.0, 0.5)))
-    assert sum(1 for _ in iter_subsets(two, max_size=2)) == 3
-    assert sum(1 for _ in iter_subsets(Configuration.empty(w))) == 0
-    ten = Configuration(w, tuple(Point(0.1 * i + 0.05, 0.5) for i in range(10)))
-    assert sum(1 for _ in iter_subsets(ten, max_size=10)) == 1023
-
-
-def test_subsets_respect_budget():
-    w = Window(T=5.0, M=1.0)
-    cfg = Configuration(w, tuple(Point(0.1 * i + 0.05, 0.5) for i in range(8)))
-    with pytest.raises(AtomBudgetExceeded):
-        list(iter_subsets(cfg, budget=7))
-
-
-def test_subset_sizes_are_valid_configurations():
-    w = Window(T=5.0, M=1.0)
-    cfg = Configuration(w, tuple(Point(0.3 * i + 0.1, 0.4) for i in range(5)))
-    for sub in iter_subsets(cfg, max_size=3):
-        assert 1 <= len(sub) <= 3
-        assert np.all(np.diff(sub.times) > 0)
 
 
 def test_configuration_invariants():

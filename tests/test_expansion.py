@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -23,7 +24,13 @@ from pseudochaos import (
     sample_poisson,
     solve_path,
 )
-from pseudochaos.expansion import _coefficient_table
+from pseudochaos.configurations import DEFAULT_ATOM_BUDGET
+from pseudochaos.expansion import (
+    _DEAD,
+    _coefficient_table,
+    _signed_binomial_row,
+    _size_histograms,
+)
 from pseudochaos.harness import random_distinct_points
 from pseudochaos.hawkes import _intensity
 from pseudochaos.malliavin import RectangleCount
@@ -69,6 +76,21 @@ def coefficient_table_by_passes(params, config):
         per_size += np.bincount(sizes + 1, weights=g, minlength=n + 1)
         sizes = np.concatenate([sizes, sizes + 1])
     return [int(round(v)) for v in per_size[1:]]
+
+
+def table_live(params, config):
+    """Which atoms the subset table keeps live (accepted on some subset)."""
+    return tuple(h is not _DEAD for _, h in _size_histograms(params, config.times, config.marks))
+
+
+def assert_table_events_are_the_paths(params, config):
+    path = solve_path(params, config)
+    assert table_live(params, config) == path.accepted
+    assert reconstruct(params, config).event_count == path.event_count
+
+
+def report_fields(report):
+    return report.per_size, report.total, report.event_count, report.exact_match
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +238,9 @@ def test_coefficient_table_equals_the_pass_per_atom_table(
             for n in range(12, 21)
         ]
         for config in seeded + knife_edge:
-            assert _coefficient_table(params, config) == coefficient_table_by_passes(params, config)
+            assert _coefficient_table(params, config)[0] == coefficient_table_by_passes(params, config)
     for params, config in pruning_edge_configs:
-        assert _coefficient_table(params, config) == coefficient_table_by_passes(params, config)
+        assert _coefficient_table(params, config)[0] == coefficient_table_by_passes(params, config)
 
 
 @given(st.data())
@@ -341,6 +363,73 @@ def test_reconstruction_is_exact_on_generated_configurations(params_small, data)
     report = reconstruct(params_small, source)
     assert report.exact_match
     assert report.total == solve_path(params_small, source).event_count
+    assert_table_events_are_the_paths(params_small, source)
+
+
+def test_table_live_atoms_are_the_path_solvers_accepted_atoms(
+    params_small, knife_edge_configs, params_small_table, knife_edge_configs_table,
+    pruning_edge_configs,
+):
+    # the event count comes from the table's own fold, never from solve_path
+    cases = [
+        (params, sample_poisson(params.window, (331, i)))
+        for params in (params_small, params_small_table)
+        for i in range(60)
+    ]
+    cases += [(params_small, c) for c in knife_edge_configs]
+    cases += [(params_small_table, c) for c in knife_edge_configs_table]
+    cases += pruning_edge_configs
+    for params, config in cases:
+        assert_table_events_are_the_paths(params, config)
+
+
+def test_always_accepted_atom_adds_exactly_one_to_the_size_one_sum():
+    # an atom accepted on every subset of its k live predecessors has
+    # h[s] = C(k, s); the table's weights send all of it to size 1, since
+    # sum_s C(k, s) (-1)^(a-s) C(k-s, a-s) = C(k, a) (1 - 1)^a
+    for k in range(DEFAULT_ATOM_BUDGET + 1):
+        per_size = [0] * (k + 1)
+        for s in range(k + 1):
+            for a, weight in enumerate(_signed_binomial_row(k - s), s):
+                per_size[a] += weight * math.comb(k, s)
+        assert per_size == [1] + [0] * k, k
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [
+        # every mark 0: all 22 atoms always accepted
+        ("zero22", ((22,) + (0,) * 21, 22, 22, True)),
+        # a first mark of 0.5, then 1 + 1e-9: the full 2^21 doubling
+        ("edge22", ((1, 21) + (0,) * 20, 22, 22, True)),
+        # the CLI's `--seed 6 reconstruct`: 20 atoms on the default window
+        ("seed6", ((3, 0, 1) + (0,) * 17, 4, 4, True)),
+    ],
+)
+def test_reconstruct_reports_are_pinned(params_default, name, fields):
+    if name == "seed6":
+        source = sample_poisson(params_default.window, (6, 0))
+    else:
+        marks = [0.0] * 22 if name == "zero22" else [0.5] + [1 + 1e-9] * 21
+        atoms = tuple(Point(0.2 * (i + 1), mark) for i, mark in enumerate(marks))
+        source = Configuration(params_default.window, atoms)
+    assert report_fields(reconstruct(params_default, source)) == fields
+
+
+@pytest.mark.parametrize("kernel", ["exp", "table"])
+def test_reconstruct_reports_on_audit_paths_are_pinned(params_small, params_small_table, kernel):
+    # the 200 paths of criterion 1's key on the audit window; the 801-node
+    # table samples the same exponential and gives the same reports here
+    params = params_small if kernel == "exp" else params_small_table
+    reports = [
+        report_fields(reconstruct(params, sample_poisson(params.window, (1000, p))))
+        for p in range(200)
+    ]
+    assert sum(r[2] for r in reports) == 783
+    assert all(r[3] for r in reports)
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+        "30ee1e00efd9fa3b02f068b4661b784b5fbd859a4ae776076250f7105c2196f2"
+    )
 
 
 def test_reconstruct_exact_even_when_intensity_overflows(exp_kernel):
