@@ -1,5 +1,7 @@
 """How the chain process departs from a counting process as self-excitation
 grows: jump-size spectrum and ignored-atom fraction versus kernel amplitude.
+The histogram uses paths 0..paths-1 of the seed's keys and the martingale
+residual the next disjoint block, paths..2*paths-1, so the two share no path.
 
 Usage: python3 scripts/jump_size_survey.py [--paths 3000] [--out jump_survey.csv]
 """
@@ -23,7 +25,7 @@ def main():
         kernel = Kernel.exponential(alpha, 1.0)
         params = HawkesParams(mu=1.0, kernel=kernel, window=Window(T=5.0, M=4.0))
         hist = jump_size_histogram(params, ns.paths, (SEED, 0))
-        res = martingale_residual(params, ns.paths, (SEED, 1))
+        res = martingale_residual(params, ns.paths, (SEED, ns.paths))
         biggest = max(hist.counts) if hist.counts else 0
         rows.append((
             alpha, hist.frac_ge2, hist.frac_ge2_se, biggest,

@@ -27,6 +27,8 @@ def main():
     ap.add_argument("--paths", type=int, default=4000)
     ap.add_argument("--out", default="mean_sweep.csv")
     ns = ap.parse_args()
+    if ns.paths < 2:
+        ap.error(f"--paths must be >= 2 for a standard error and a z-score, got {ns.paths}")
 
     ladder = build_ladder(KERNEL, 0.01, max(HORIZONS) + 1.0)
     rows = []

@@ -155,15 +155,19 @@ def _chain_paths(params: HawkesParams, seed: int, start: int, stop: int) -> dict
     return out
 
 
-def martingale_residual(params: HawkesParams, n_paths: int, rng_key: RngKey) -> ResidualReport:
-    seed, base_index = rng_key
-    paths = _chain_paths(params, seed, base_index, base_index + n_paths)
+def _residual_report(paths: dict, seed: int) -> ResidualReport:
+    """The residual report of _chain_paths' per-path arrays."""
     totals, comps = paths["totals"], paths["comps"]
     return ResidualReport(
         residual=MCEstimate.from_samples(totals - comps, seed=seed),
         total_mean=MCEstimate.from_samples(totals, seed=seed),
         compensator_mean=MCEstimate.from_samples(comps, seed=seed),
     )
+
+
+def martingale_residual(params: HawkesParams, n_paths: int, rng_key: RngKey) -> ResidualReport:
+    seed, base_index = rng_key
+    return _residual_report(_chain_paths(params, seed, base_index, base_index + n_paths), seed)
 
 
 def conditional_residual(
@@ -217,9 +221,9 @@ class JumpHistogram:
     ignored_fraction: float     # atoms with mark above max(mu, kernel sup)
 
 
-def jump_size_histogram(params: HawkesParams, n_paths: int, rng_key: RngKey) -> JumpHistogram:
-    seed, base_index = rng_key
-    paths = _chain_paths(params, seed, base_index, base_index + n_paths)
+def _jump_histogram(paths: dict, base_index: int) -> JumpHistogram:
+    """The jump histogram of _chain_paths' output for the paths from base_index on."""
+    n_paths = len(paths["totals"])
     sizes = np.array([size for _, _, size in paths["rows"]], dtype=np.int64)
     owner = np.array([p for p, _, _ in paths["rows"]], dtype=np.int64) - base_index
     big = np.bincount(owner, weights=sizes >= 2, minlength=n_paths)
@@ -240,3 +244,8 @@ def jump_size_histogram(params: HawkesParams, n_paths: int, rng_key: RngKey) -> 
         frac_ge2_se=se,
         ignored_fraction=(n_ignored / n_atoms) if n_atoms else 0.0,
     )
+
+
+def jump_size_histogram(params: HawkesParams, n_paths: int, rng_key: RngKey) -> JumpHistogram:
+    seed, base_index = rng_key
+    return _jump_histogram(_chain_paths(params, seed, base_index, base_index + n_paths), base_index)

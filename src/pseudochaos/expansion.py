@@ -31,7 +31,7 @@ from .configurations import (
 )
 from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows
 from .malliavin import Functional, iterated_difference
-from .mc import MCEstimate, RngKey, rng_from_key
+from .mc import MCEstimate, RngKey, _map_paths, rng_from_key
 
 # paths are sampled per chunk of this size so the batch evaluator can
 # vectorize; the chunk grid is part of the deterministic sampling layout
@@ -262,17 +262,18 @@ def _characterization_chunk(
     j_max: int,
     points_per_path: int,
     seed: int,
-    key_index: int,
-    m: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of m paths drawn from the key (seed, key_index): the scaled
-    term samples, shape (j_max, m), and the reference samples of F, shape (m,)."""
+    start: int,
+    stop: int,
+) -> dict:
+    """The m = stop - start paths of one chunk, from the key (seed, start // _CHUNK):
+    scaled term samples "terms", shape (j_max, m), and F's samples "ref", shape (m,)."""
+    m = stop - start
     T, M, area = window.T, window.M, window.area
     n_masks = 1 << j_max
     scale = [
         ((-1.0) ** (j + 1)) * area**j / math.factorial(j) for j in range(1, j_max + 1)
     ]
-    rng = rng_from_key((seed, key_index))
+    rng = rng_from_key((seed, start // _CHUNK))
 
     counts = rng.poisson(area, size=m)
     w_base = int(counts.max()) if m else 0
@@ -331,7 +332,7 @@ def _characterization_chunk(
     terms = np.empty((j_max, m))
     for j in range(1, j_max + 1):
         terms[j - 1] = scale[j - 1] * diff[j - 1].reshape(m, q).mean(axis=1)
-    return terms, ref
+    return {"terms": terms, "ref": ref}
 
 
 def characterization_check(
@@ -342,7 +343,7 @@ def characterization_check(
     rng_key: RngKey,
     points_per_path: int = 1,
     budget: int = DEFAULT_ATOM_BUDGET,
-    map_chunks=map,
+    n_jobs: int = 1,
 ) -> CharacterizationReport:
     """Estimate each term (-1)^(j+1)/j! * integral of E[D^j F] over the window
     power by drawing j uniform points and an independent configuration, and
@@ -355,8 +356,8 @@ def characterization_check(
     _MASK_BLOCK x rows x width floats whatever j_max is. Term j is the signed
     sum over the masks below 2**j, each with sign (-1)^(j - popcount), added
     in mask order. j_max counts the inserted points, so it may not exceed
-    budget. map_chunks maps the per-chunk function over the chunk keys and
-    sizes (a process pool's map, say); results are merged in chunk order.
+    budget. n_jobs worker processes share the chunks (F is then pickled), and
+    no result depends on it.
 
     Point draws nested in j share configuration evaluations; standard errors
     are computed over per-path averages, so multiple point draws per path stay
@@ -372,12 +373,10 @@ def characterization_check(
     if j_max > budget:
         raise AtomBudgetExceeded(j_max, budget)
     seed, base_index = rng_key
-    starts = range(0, n_paths, _CHUNK)
-    sizes = [min(_CHUNK, n_paths - start) for start in starts]
-    chunk = functools.partial(_characterization_chunk, F, window, j_max, points_per_path, seed)
-    parts = list(map_chunks(chunk, range(base_index, base_index + len(sizes)), sizes))
-    term_paths = np.concatenate([terms for terms, _ in parts], axis=1)
-    ref_paths = np.concatenate([ref for _, ref in parts])
+    start = base_index * _CHUNK   # chunk c starts at (base_index + c) * _CHUNK
+    loop = functools.partial(_characterization_chunk, F, window, j_max, points_per_path)
+    paths = _map_paths(loop, seed, start, start + n_paths, n_jobs, chunk=_CHUNK)
+    term_paths, ref_paths = paths["terms"], paths["ref"]
 
     terms = tuple(
         MCEstimate.from_samples(term_paths[j], seed=seed) for j in range(j_max)

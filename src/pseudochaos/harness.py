@@ -3,11 +3,9 @@ Monte Carlo with per-path rng keys, reconstruction audits, CSV artifacts, and
 the table of acceptance criteria behind the test suite and the CLI selfcheck."""
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,7 +16,7 @@ from .configurations import DEFAULT_ATOM_BUDGET, Point, Window, _write_rows, sam
 from .hawkes import HawkesCount, HawkesParams, simulate, solve_path
 from .kernels import ConvolutionLadder, Kernel, build_ladder
 from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1, iterated_difference
-from .mc import MCEstimate, RngKey
+from .mc import MCEstimate, RngKey, _map_paths
 
 STATISTICS = (
     "hawkes_mean",
@@ -133,11 +131,6 @@ def _tally(flags: np.ndarray) -> AuditResult:
     )
 
 
-# -- path-parallel runner -----------------------------------------------------
-# Each per-path loop takes (..., seed, start, stop) and returns arrays or row
-# lists indexed by path, so the merge is a concatenation in chunk order and
-# results cannot depend on which process ran which chunk.
-
 def _hawkes_paths(params: HawkesParams, thinning: str, rows_too: bool, seed, start, stop) -> dict:
     """Event counts and overflow flags per path, and paths.csv's rows if rows_too."""
     counts = np.empty(stop - start)
@@ -153,55 +146,26 @@ def _hawkes_paths(params: HawkesParams, thinning: str, rows_too: bool, seed, sta
     return {"counts": counts, "overflow": overflow, "rows": rows}
 
 
-def _concat(parts: list):
-    """Merge per-chunk results in chunk order: arrays concatenate, row lists
-    chain, dicts merge key by key."""
-    first = parts[0]
-    if isinstance(first, dict):
-        return {key: _concat([part[key] for part in parts]) for key in first}
-    if isinstance(first, np.ndarray):
-        return np.concatenate(parts)
-    return [row for part in parts for row in part]
-
-
-@contextlib.contextmanager
-def _chunk_map(n_jobs: int):
-    """The builtin map for one job, else the map of a pool of n_jobs worker
-    processes; either returns results in input order."""
-    if n_jobs == 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        yield pool.map
-
-
-def _map_paths(loop, spec: ExperimentSpec, n_jobs: int, *args, chunk: int = 256):
-    """Run loop(*args, spec.seed, start, stop) over the chunks of the spec's
-    paths and concatenate the results."""
-    starts = range(0, spec.n_paths, chunk)
-    stops = [min(s + chunk, spec.n_paths) for s in starts]
-    per_chunk = functools.partial(loop, *args, spec.seed)
-    with _chunk_map(n_jobs) as chunk_map:
-        return _concat(list(chunk_map(per_chunk, starts, stops)))
-
-
 def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> ExperimentResult:
     """Run one experiment; a pure function of its spec. With out_dir set,
     writes results.csv, a JSON-lines spec echo, and per-statistic artifacts.
-    n_jobs worker processes share the chunks of paths, and no result depends
-    on it; the ipp statistic always runs in this process."""
+    n_jobs worker processes share the chunks of paths for every statistic,
+    and no result depends on it."""
     extra: dict = {}
     artifact_rows: dict[str, tuple[list[str], list]] = {}
+    run_paths = lambda loop, *args: _map_paths(
+        functools.partial(loop, *args), spec.seed, 0, spec.n_paths, n_jobs
+    )
 
     if spec.statistic == "hawkes_mean":
-        paths = _map_paths(_hawkes_paths, spec, n_jobs, spec.params, spec.thinning, out_dir is not None)
+        paths = run_paths(_hawkes_paths, spec.params, spec.thinning, out_dir is not None)
         headline = MCEstimate.from_samples(paths["counts"], seed=spec.seed)
         extra["overflow_fraction"] = float(paths["overflow"].mean())
         artifact_rows["paths.csv"] = (
             ["path_id", "t", "theta", "accepted", "intensity"], paths["rows"],
         )
     elif spec.statistic == "reconstruction":
-        flags = _map_paths(_reconstruction_flags, spec, n_jobs, spec.params, spec.budget)
+        flags = run_paths(_reconstruction_flags, spec.params, spec.budget)
         checked = flags[flags >= 0]
         headline = MCEstimate.from_samples(checked if checked.size else [0.0], seed=spec.seed)
         extra["audit"] = _tally(flags)
@@ -210,34 +174,27 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
             [(i, int(f)) for i, f in enumerate(flags)],
         )
     elif spec.statistic in ("residual", "histogram"):
-        paths = _map_paths(branching._chain_paths, spec, n_jobs, spec.params)
-        totals, jump_rows = paths["totals"], paths["rows"]
-        residual = MCEstimate.from_samples(totals - paths["comps"], seed=spec.seed)
-        sizes = np.array([r[2] for r in jump_rows]) if jump_rows else np.zeros(0)
-        frac_ge2 = float((sizes >= 2).mean()) if sizes.size else 0.0
+        paths = run_paths(branching._chain_paths, spec.params)
+        report = branching._residual_report(paths, spec.seed)
+        frac_ge2 = branching._jump_histogram(paths, 0).frac_ge2
         if spec.statistic == "residual":
-            headline = residual
+            headline = report.residual
         else:
-            headline = MCEstimate.from_samples((sizes >= 2).astype(float), seed=spec.seed)
-        extra["total_mean"] = MCEstimate.from_samples(totals, seed=spec.seed)
+            # with no jumps at all, one 0.0 sample, as for reconstruction
+            big = [float(size >= 2) for _, _, size in paths["rows"]]
+            headline = MCEstimate.from_samples(big or [0.0], seed=spec.seed)
+        extra["total_mean"] = report.total_mean
         extra["frac_jumps_ge2"] = frac_ge2
-        artifact_rows["jumps.csv"] = (["path_id", "t", "jump_size"], jump_rows)
+        artifact_rows["jumps.csv"] = (["path_id", "t", "jump_size"], paths["rows"])
         artifact_rows["summary.csv"] = (
             ["residual_mean", "residual_se", "frac_jumps_ge2"],
-            [(residual.mean, residual.se, frac_ge2)],
+            [(report.residual.mean, report.residual.se, frac_ge2)],
         )
     elif spec.statistic == "characterization":
-        with _chunk_map(n_jobs) as chunk_map:
-            report = expansion.characterization_check(
-                HawkesCount(spec.params),
-                spec.params.window,
-                spec.j_max,
-                spec.n_paths,
-                (spec.seed, 0),
-                points_per_path=spec.points_per_path,
-                budget=spec.budget,
-                map_chunks=chunk_map,
-            )
+        report = expansion.characterization_check(
+            HawkesCount(spec.params), spec.params.window, spec.j_max, spec.n_paths, (spec.seed, 0),
+            points_per_path=spec.points_per_path, budget=spec.budget, n_jobs=n_jobs,
+        )
         headline = report.residual
         extra["report"] = report
         artifact_rows["characterization.csv"] = (
@@ -248,7 +205,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
         )
     elif spec.statistic == "ipp":
         F = IPP_FUNCTIONALS[spec.functional](spec.params)
-        check = ipp_check_order1(F, spec.params.window, spec.n_paths, (spec.seed, 0))
+        check = ipp_check_order1(F, spec.params.window, spec.n_paths, (spec.seed, 0), n_jobs)
         headline = check.diff
         extra["check"] = check
     else:  # unreachable: spec validates

@@ -10,6 +10,7 @@ which is symmetric in the points and satisfies D^n = D(D^(n-1)).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .configurations import (
     add_points,
     sample_poisson,
 )
-from .mc import MCEstimate, RngKey, rng_from_key
+from .mc import MCEstimate, RngKey, _map_paths, rng_from_key
 
 
 class Functional:
@@ -150,29 +151,43 @@ class IppCheck:
     diff: MCEstimate  # per-path lhs - rhs, sharing the same samples
 
 
-def ipp_check_order1(
-    F: Functional,
-    window: Window,
-    n_paths: int,
-    rng_key: RngKey,
-) -> IppCheck:
-    """Monte Carlo check of first-order integration by parts with the window
-    indicator as integrand: the expected first difference integrated over the
-    window equals E[F * (N(window) - area)]."""
-    seed, base_index = rng_key
+def _ipp_paths(F: Functional, window: Window, seed: int, start: int, stop: int) -> dict:
+    """Per path p in [start, stop), on key (seed, p): the samples area * D_X F
+    and F * (N(window) - area), X uniform on the window at a time no atom has."""
     area = window.area
-    lhs = np.empty(n_paths)
-    rhs = np.empty(n_paths)
-    for p in range(n_paths):
-        rng = rng_from_key((seed, base_index + p))
+    lhs = np.empty(stop - start)
+    rhs = np.empty(stop - start)
+    for i, p in enumerate(range(start, stop)):
+        rng = rng_from_key((seed, p))
         omega = sample_poisson(window, rng=rng)
         while True:
             x = Point(float(rng.uniform(0.0, window.T)), float(rng.uniform(0.0, window.M)))
             if x.t not in {a.t for a in omega.atoms}:
                 break
         f_omega = F(omega)
-        lhs[p] = area * (F(add_points(omega, [x])) - f_omega)
-        rhs[p] = f_omega * (len(omega) - area)
+        lhs[i] = area * (F(add_points(omega, [x])) - f_omega)
+        rhs[i] = f_omega * (len(omega) - area)
+    return {"lhs": lhs, "rhs": rhs}
+
+
+def ipp_check_order1(
+    F: Functional,
+    window: Window,
+    n_paths: int,
+    rng_key: RngKey,
+    n_jobs: int = 1,
+) -> IppCheck:
+    """Monte Carlo check of first-order integration by parts with the window
+    indicator as integrand: the expected first difference integrated over the
+    window equals E[F * (N(window) - area)]. Path p draws from the key
+    (seed, base_index + p); n_jobs worker processes share the chunks of paths
+    (F is then pickled), and no result depends on it."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    seed, base_index = rng_key
+    loop = functools.partial(_ipp_paths, F, window)
+    paths = _map_paths(loop, seed, base_index, base_index + n_paths, n_jobs)
+    lhs, rhs = paths["lhs"], paths["rhs"]
     return IppCheck(
         lhs=MCEstimate.from_samples(lhs, seed=seed),
         rhs=MCEstimate.from_samples(rhs, seed=seed),

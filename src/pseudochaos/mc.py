@@ -1,6 +1,9 @@
-"""Seeded Monte Carlo bookkeeping: splittable rng keys and sample estimates."""
+"""Seeded Monte Carlo bookkeeping: splittable rng keys, the path runner that
+spreads chunks of paths over worker processes, and sample estimates."""
 from __future__ import annotations
 
+import functools
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +17,33 @@ RngKey = tuple[int, int]
 def rng_from_key(key: RngKey) -> np.random.Generator:
     seed, index = key
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
+
+
+# -- path runner: a per-path loop takes (..., seed, start, stop) and returns
+# arrays with paths on the last axis, row lists, or a dict of them.
+
+def _concat(parts: list):
+    """Merge per-chunk results in chunk order: arrays concatenate along their
+    last (path) axis, row lists chain, dicts merge key by key."""
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: _concat([part[key] for part in parts]) for key in first}
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts, axis=-1)
+    return [row for part in parts for row in part]
+
+
+def _map_paths(loop, seed: int, start: int, stop: int, n_jobs: int = 1, chunk: int = 256):
+    """Run loop(seed, lo, hi) over the chunks [lo, hi) of [start, stop), with
+    the builtin map for one job, else on a pool of n_jobs worker processes,
+    and concatenate the results in chunk order."""
+    los = range(start, stop, chunk)
+    his = [min(lo + chunk, stop) for lo in los]
+    per_chunk = functools.partial(loop, seed)
+    if n_jobs == 1:
+        return _concat(list(map(per_chunk, los, his)))
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return _concat(list(pool.map(per_chunk, los, his)))
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,14 @@ def test_ipp_out_writes_one_directory_per_functional(tmp_path, capsys):
         assert (float(row[1]), float(row[2])) == (diff.mean, diff.se)
 
 
+def test_branching_without_jumps_exits_zero(tmp_path, capsys):
+    # so small a baseline leaves every path empty: a fraction of no jumps is 0
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("mu = 0.001\nT = 0.1\nM = 4\nkernel = exp\nalpha = 0.5\nbeta = 1.0\n")
+    assert main(["--config", str(cfg), "--paths", "5", "branching"]) == 0
+    assert "fraction of jumps >= 2: 0.00000" in capsys.readouterr().out.splitlines()
+
+
 def test_simulate_writes_artifacts(tmp_path, capsys):
     code = main(["--paths", "50", "--out", str(tmp_path), "simulate"])
     assert code == 0

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from pseudochaos import (
     AtomBudgetExceeded,
     Configuration,
+    ExperimentSpec,
     HawkesCount,
     HawkesParams,
     Kernel,
@@ -21,6 +22,7 @@ from pseudochaos import (
     coefficient_oracle,
     hawkes_coefficient,
     reconstruct,
+    run_experiment,
     sample_poisson,
     solve_path,
 )
@@ -466,6 +468,27 @@ def test_characterization_is_deterministic(params_small):
     a = characterization_check(F, params_small.window, 3, 700, (43, 0))
     b = characterization_check(F, params_small.window, 3, 700, (43, 0))
     assert a == b
+
+
+def test_characterization_check_matches_runner_at_any_job_count(params_small):
+    # 700 paths are two chunks of up to 512
+    F, window = HawkesCount(params_small), params_small.window
+    report = characterization_check(F, window, 3, 700, (43, 0))
+    spec = ExperimentSpec("characterization", params_small, 700, seed=43, j_max=3)
+    assert report == run_experiment(spec).extra["report"]
+    assert report == characterization_check(F, window, 3, 700, (43, 0), n_jobs=2)
+
+
+@pytest.mark.parametrize("rng_key, n_paths, digest", [
+    ((27, 37), 300, "933489bb2842f79531241dec73210b55d2a940852436c8e49efc49242986ba59"),
+    # two chunks, from the keys (43, 1) and (43, 2)
+    ((43, 1), 700, "62609317ce6c91644cecae2790bca45988f3d895c179e165588b5bbcb0bb1c8d"),
+])
+def test_characterization_at_a_key_offset_is_pinned(params_small, rng_key, n_paths, digest):
+    # chunk c of key base b draws from (seed, b + c)
+    report = characterization_check(HawkesCount(params_small), params_small.window, 3, n_paths, rng_key)
+    assert report.cumulative.n == n_paths
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
 
 def test_characterization_multiple_point_draws(params_small):

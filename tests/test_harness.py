@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from pseudochaos import (
     reconstruction_audit,
     run_experiment,
 )
-from pseudochaos.harness import CLOSED_FORM_MEAN_T5, CheckResult, _verdict
+from pseudochaos.harness import CLOSED_FORM_MEAN_T5, AuditResult, CheckResult, _verdict
 
 
 def test_analytic_mean_zero_kernel(zero_kernel):
@@ -87,6 +88,9 @@ def test_run_experiment_parallel_matches_serial(tmp_path, params_default, params
         ExperimentSpec("histogram", params_default, 600, seed=6),
         # 600 paths are two characterization chunks of up to 512
         ExperimentSpec("characterization", params_small, 600, seed=6, j_max=3, points_per_path=2),
+        # 600 paths are three runner chunks of up to 256
+        *(ExperimentSpec("ipp", params_small, 600, seed=6, functional=name)
+          for name in ("hawkes_count", "window_count", "constant")),
     ]
     for i, spec in enumerate(specs):
         serial = run_experiment(spec, out_dir=tmp_path / f"serial{i}", n_jobs=1)
@@ -115,6 +119,34 @@ def test_chain_reports_match_runner(params_default):
     assert martingale_residual(params_default, 300, (25, 0)).residual == res.headline
     hist = jump_size_histogram(params_default, 300, (25, 0))
     assert hist.frac_ge2 == res.extra["frac_jumps_ge2"]
+    assert martingale_residual(params_default, 300, (25, 0)).total_mean == res.extra["total_mean"]
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_chain_and_audit_reports_at_a_key_offset_are_pinned(params_default, params_small):
+    # path p draws from (seed, base + p): pinned at base 37, so the layout
+    # cannot shift to (seed, p) or to a chunk-indexed key unnoticed
+    audit = reconstruction_audit(params_small, 200, (24, 37), budget=6)
+    assert audit == AuditResult(n_checked=115, n_exact=115, n_skipped_budget=85)
+    residual = martingale_residual(params_default, 300, (25, 37))
+    assert residual.residual.mean == -0.12464945790057304
+    assert _sha(residual) == "b95f9352e95546dce7d30834bdc89b5e36bc5cd483acb2091bc175265046089e"
+    hist = jump_size_histogram(params_default, 300, (25, 37))
+    assert (hist.n_jumps, hist.frac_ge2) == (1482, 0.2321187584345479)
+    assert _sha(hist) == "266b105c08fd72dd7dde0345db4d9dea2981dd2b9c8e9eaa51d4cd364175d467"
+
+
+def test_histogram_without_jumps_reports_one_zero_sample(tmp_path, exp_kernel):
+    # so small a baseline leaves every path empty: no jump to take a fraction of
+    params = HawkesParams(mu=0.001, kernel=exp_kernel, window=Window(T=0.1, M=4.0))
+    res = run_experiment(ExperimentSpec("histogram", params, 5, seed=7), out_dir=tmp_path)
+    assert res.headline == MCEstimate(n=1, mean=0.0, se=None, seed=7)
+    assert res.extra["frac_jumps_ge2"] == 0.0
+    assert res.extra["total_mean"].mean == 0.0
+    assert (tmp_path / "jumps.csv").read_text().splitlines() == ["path_id,t,jump_size"]
 
 
 def test_single_path_has_no_standard_error(params_default):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from pseudochaos import (
     Configuration,
     ConstantFunctional,
     EmptyWindowWeight,
+    ExperimentSpec,
     HawkesCount,
     HawkesParams,
     Kernel,
@@ -21,6 +23,7 @@ from pseudochaos import (
     empty_window_expectation,
     ipp_check_order1,
     iterated_difference,
+    run_experiment,
     sample_poisson,
 )
 
@@ -179,3 +182,25 @@ def test_ipp_generic_functional_matches_vectorized():
     generic = ipp_check_order1(CallableFunctional(len, window), window, 600, (75, 0))
     assert generic == ipp_check_order1(RectangleCount(window), window, 600, (75, 0))
     assert generic.lhs.mean == 4.0
+
+
+def test_ipp_check_matches_runner_at_any_job_count(params_small):
+    # 600 paths are three runner chunks of up to 256
+    F, window = HawkesCount(params_small), params_small.window
+    check = ipp_check_order1(F, window, 600, (76, 0))
+    assert check == run_experiment(ExperimentSpec("ipp", params_small, 600, seed=76)).extra["check"]
+    assert check == ipp_check_order1(F, window, 600, (76, 0), n_jobs=2)
+
+
+def test_ipp_check_at_a_key_offset_is_pinned(params_default):
+    # path p draws from (seed, base + p), pinned here at base 37
+    check = ipp_check_order1(HawkesCount(params_default), params_default.window, 300, (26, 37))
+    assert (check.lhs.mean, check.diff.mean) == (12.666666666666666, 6.08)
+    assert hashlib.sha256(repr(check).encode()).hexdigest() == (
+        "896615810e38b4164ff7a9bef5e7ce75d4c9fb7605a883ed24c04b868de73a0c"
+    )
+
+
+def test_ipp_check_refuses_no_paths():
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+        ipp_check_order1(RectangleCount(W3), W3, 0, (77, 0))

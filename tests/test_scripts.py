@@ -11,21 +11,41 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "script", ["expansion_profile.py", "jump_size_survey.py", "mean_convergence.py"]
 )
 def test_script_runs_at_tiny_scale(script, tmp_path):
     out = tmp_path / "x.csv"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--paths", "20", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run_script(script, "--paths", 20, "--out", out)
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) >= 2 and rows[0]
+
+
+def test_expansion_profile_skips_configurations_over_the_budget(tmp_path):
+    # the CLI's desk window averages 20 atoms a path, some above the budget of 22
+    out = tmp_path / "x.csv"
+    proc = _run_script("expansion_profile.py", "--T", 5, "--M", 4, "--paths", 30, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert "9 of 30 configurations skipped over the atom budget" in proc.stdout
+    assert out.exists()
+
+
+def test_mean_convergence_refuses_a_single_path():
+    proc = _run_script("mean_convergence.py", "--paths", 1)
+    assert proc.returncode == 2
+    assert "--paths must be >= 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_script_smoke(tmp_path):
