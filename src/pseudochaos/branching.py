@@ -221,15 +221,21 @@ class JumpHistogram:
     ignored_fraction: float     # atoms with mark above max(mu, kernel sup)
 
 
+def _jump_sizes(paths: dict) -> tuple[np.ndarray, float]:
+    """The size of each of _chain_paths' jump rows, in row order, and the
+    fraction of them that are >= 2 (0.0 with no jump)."""
+    sizes = np.array([size for _, _, size in paths["rows"]], dtype=np.int64)
+    return sizes, (float((sizes >= 2).mean()) if sizes.size else 0.0)
+
+
 def _jump_histogram(paths: dict, base_index: int) -> JumpHistogram:
     """The jump histogram of _chain_paths' output for the paths from base_index on."""
     n_paths = len(paths["totals"])
-    sizes = np.array([size for _, _, size in paths["rows"]], dtype=np.int64)
+    sizes, frac = _jump_sizes(paths)
     owner = np.array([p for p, _, _ in paths["rows"]], dtype=np.int64) - base_index
     big = np.bincount(owner, weights=sizes >= 2, minlength=n_paths)
     tot = np.bincount(owner, minlength=n_paths).astype(float)
     n_jumps = int(tot.sum())
-    frac = float(big.sum() / n_jumps) if n_jumps else 0.0
     if n_paths > 1 and n_jumps:
         resid = big - frac * tot
         se = float(np.std(resid, ddof=1) / np.sqrt(n_paths) / tot.mean())

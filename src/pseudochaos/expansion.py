@@ -335,6 +335,32 @@ def _characterization_chunk(
     return {"terms": terms, "ref": ref}
 
 
+def _require_characterization_args(j_max: int, n_paths: int, points_per_path: int, budget: int) -> None:
+    if j_max < 1:
+        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    if points_per_path < 1:
+        raise ValueError(f"points_per_path must be >= 1, got {points_per_path}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if j_max > budget:
+        raise AtomBudgetExceeded(j_max, budget)
+
+
+def _characterization_report(paths: dict, seed: int) -> CharacterizationReport:
+    """The report of _characterization_chunk's term and reference samples."""
+    term_paths, ref_paths = paths["terms"], paths["ref"]
+    terms = tuple(MCEstimate.from_samples(samples, seed=seed) for samples in term_paths)
+    cumulative_paths = term_paths.sum(axis=0)
+    last = terms[-1]
+    return CharacterizationReport(
+        terms=terms,
+        cumulative=MCEstimate.from_samples(cumulative_paths, seed=seed),
+        reference=MCEstimate.from_samples(ref_paths, seed=seed),
+        residual=MCEstimate.from_samples(cumulative_paths - ref_paths, seed=seed),
+        truncation_budget=float(abs(last.mean) + 3.0 * (last.se or 0.0)),
+    )
+
+
 def characterization_check(
     F: Functional,
     window: Window,
@@ -343,7 +369,6 @@ def characterization_check(
     rng_key: RngKey,
     points_per_path: int = 1,
     budget: int = DEFAULT_ATOM_BUDGET,
-    n_jobs: int = 1,
 ) -> CharacterizationReport:
     """Estimate each term (-1)^(j+1)/j! * integral of E[D^j F] over the window
     power by drawing j uniform points and an independent configuration, and
@@ -356,40 +381,19 @@ def characterization_check(
     _MASK_BLOCK x rows x width floats whatever j_max is. Term j is the signed
     sum over the masks below 2**j, each with sign (-1)^(j - popcount), added
     in mask order. j_max counts the inserted points, so it may not exceed
-    budget. n_jobs worker processes share the chunks (F is then pickled), and
-    no result depends on it.
+    budget.
 
     Point draws nested in j share configuration evaluations; standard errors
     are computed over per-path averages, so multiple point draws per path stay
     statistically honest. Time ties among sampled atoms are measure zero and
     are not re-sampled here.
     """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    if points_per_path < 1:
-        raise ValueError(f"points_per_path must be >= 1, got {points_per_path}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if j_max > budget:
-        raise AtomBudgetExceeded(j_max, budget)
+    _require_characterization_args(j_max, n_paths, points_per_path, budget)
     seed, base_index = rng_key
     start = base_index * _CHUNK   # chunk c starts at (base_index + c) * _CHUNK
     loop = functools.partial(_characterization_chunk, F, window, j_max, points_per_path)
-    paths = _map_paths(loop, seed, start, start + n_paths, n_jobs, chunk=_CHUNK)
-    term_paths, ref_paths = paths["terms"], paths["ref"]
-
-    terms = tuple(
-        MCEstimate.from_samples(term_paths[j], seed=seed) for j in range(j_max)
-    )
-    cumulative_paths = term_paths.sum(axis=0)
-    last = terms[-1]
-    return CharacterizationReport(
-        terms=terms,
-        cumulative=MCEstimate.from_samples(cumulative_paths, seed=seed),
-        reference=MCEstimate.from_samples(ref_paths, seed=seed),
-        residual=MCEstimate.from_samples(cumulative_paths - ref_paths, seed=seed),
-        truncation_budget=float(abs(last.mean) + 3.0 * (last.se or 0.0)),
-    )
+    paths = _map_paths(loop, seed, start, start + n_paths, chunk=_CHUNK)
+    return _characterization_report(paths, seed)
 
 
 def chaotic_coefficient_mc(

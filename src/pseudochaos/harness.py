@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import branching, expansion
+from . import branching, expansion, malliavin
 from .configurations import DEFAULT_ATOM_BUDGET, Point, Window, _write_rows, sample_poisson
 from .hawkes import HawkesCount, HawkesParams, simulate, solve_path
 from .kernels import ConvolutionLadder, Kernel, build_ladder
@@ -149,12 +149,13 @@ def _hawkes_paths(params: HawkesParams, thinning: str, rows_too: bool, seed, sta
 def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> ExperimentResult:
     """Run one experiment; a pure function of its spec. With out_dir set,
     writes results.csv, a JSON-lines spec echo, and per-statistic artifacts.
-    n_jobs worker processes share the chunks of paths for every statistic,
-    and no result depends on it."""
+    Every statistic runs its per-path loop through mc._map_paths, where
+    n_jobs worker processes share the chunks of paths (no result depends on
+    it), and reduces the paths with its report function's own reduction."""
     extra: dict = {}
     artifact_rows: dict[str, tuple[list[str], list]] = {}
-    run_paths = lambda loop, *args: _map_paths(
-        functools.partial(loop, *args), spec.seed, 0, spec.n_paths, n_jobs
+    run_paths = lambda loop, *args, chunk=256: _map_paths(
+        functools.partial(loop, *args), spec.seed, 0, spec.n_paths, n_jobs, chunk
     )
 
     if spec.statistic == "hawkes_mean":
@@ -176,13 +177,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
     elif spec.statistic in ("residual", "histogram"):
         paths = run_paths(branching._chain_paths, spec.params)
         report = branching._residual_report(paths, spec.seed)
-        frac_ge2 = branching._jump_histogram(paths, 0).frac_ge2
+        sizes, frac_ge2 = branching._jump_sizes(paths)
         if spec.statistic == "residual":
             headline = report.residual
         else:
             # with no jumps at all, one 0.0 sample, as for reconstruction
-            big = [float(size >= 2) for _, _, size in paths["rows"]]
-            headline = MCEstimate.from_samples(big or [0.0], seed=spec.seed)
+            big = (sizes >= 2).astype(float) if sizes.size else [0.0]
+            headline = MCEstimate.from_samples(big, seed=spec.seed)
         extra["total_mean"] = report.total_mean
         extra["frac_jumps_ge2"] = frac_ge2
         artifact_rows["jumps.csv"] = (["path_id", "t", "jump_size"], paths["rows"])
@@ -191,10 +192,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
             [(report.residual.mean, report.residual.se, frac_ge2)],
         )
     elif spec.statistic == "characterization":
-        report = expansion.characterization_check(
-            HawkesCount(spec.params), spec.params.window, spec.j_max, spec.n_paths, (spec.seed, 0),
-            points_per_path=spec.points_per_path, budget=spec.budget, n_jobs=n_jobs,
+        expansion._require_characterization_args(spec.j_max, spec.n_paths, spec.points_per_path, spec.budget)
+        paths = run_paths(
+            expansion._characterization_chunk, HawkesCount(spec.params), spec.params.window,
+            spec.j_max, spec.points_per_path, chunk=expansion._CHUNK,
         )
+        report = expansion._characterization_report(paths, spec.seed)
         headline = report.residual
         extra["report"] = report
         artifact_rows["characterization.csv"] = (
@@ -205,7 +208,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
         )
     elif spec.statistic == "ipp":
         F = IPP_FUNCTIONALS[spec.functional](spec.params)
-        check = ipp_check_order1(F, spec.params.window, spec.n_paths, (spec.seed, 0), n_jobs)
+        check = malliavin._ipp_check(run_paths(malliavin._ipp_paths, F, spec.params.window), spec.seed)
         headline = check.diff
         extra["check"] = check
     else:  # unreachable: spec validates

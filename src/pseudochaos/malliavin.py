@@ -10,7 +10,6 @@ which is symmetric in the points and satisfies D^n = D(D^(n-1)).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .configurations import (
     add_points,
     sample_poisson,
 )
-from .mc import MCEstimate, RngKey, _map_paths, rng_from_key
+from .mc import MCEstimate, RngKey, rng_from_key
 
 
 class Functional:
@@ -170,26 +169,25 @@ def _ipp_paths(F: Functional, window: Window, seed: int, start: int, stop: int) 
     return {"lhs": lhs, "rhs": rhs}
 
 
-def ipp_check_order1(
-    F: Functional,
-    window: Window,
-    n_paths: int,
-    rng_key: RngKey,
-    n_jobs: int = 1,
-) -> IppCheck:
-    """Monte Carlo check of first-order integration by parts with the window
-    indicator as integrand: the expected first difference integrated over the
-    window equals E[F * (N(window) - area)]. Path p draws from the key
-    (seed, base_index + p); n_jobs worker processes share the chunks of paths
-    (F is then pickled), and no result depends on it."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    seed, base_index = rng_key
-    loop = functools.partial(_ipp_paths, F, window)
-    paths = _map_paths(loop, seed, base_index, base_index + n_paths, n_jobs)
+def _ipp_check(paths: dict, seed: int) -> IppCheck:
+    """The IppCheck of _ipp_paths' per-path samples."""
     lhs, rhs = paths["lhs"], paths["rhs"]
     return IppCheck(
         lhs=MCEstimate.from_samples(lhs, seed=seed),
         rhs=MCEstimate.from_samples(rhs, seed=seed),
         diff=MCEstimate.from_samples(lhs - rhs, seed=seed),
     )
+
+
+def ipp_check_order1(
+    F: Functional,
+    window: Window,
+    n_paths: int,
+    rng_key: RngKey,
+) -> IppCheck:
+    """Monte Carlo check of first-order integration by parts with the window
+    indicator as integrand: the expected first difference integrated over the
+    window equals E[F * (N(window) - area)]. Path p draws from the key
+    (seed, base_index + p)."""
+    seed, base_index = rng_key
+    return _ipp_check(_ipp_paths(F, window, seed, base_index, base_index + n_paths), seed)

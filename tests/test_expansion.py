@@ -476,7 +476,7 @@ def test_characterization_check_matches_runner_at_any_job_count(params_small):
     report = characterization_check(F, window, 3, 700, (43, 0))
     spec = ExperimentSpec("characterization", params_small, 700, seed=43, j_max=3)
     assert report == run_experiment(spec).extra["report"]
-    assert report == characterization_check(F, window, 3, 700, (43, 0), n_jobs=2)
+    assert report == run_experiment(spec, n_jobs=2).extra["report"]
 
 
 @pytest.mark.parametrize("rng_key, n_paths, digest", [

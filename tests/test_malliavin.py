@@ -188,8 +188,9 @@ def test_ipp_check_matches_runner_at_any_job_count(params_small):
     # 600 paths are three runner chunks of up to 256
     F, window = HawkesCount(params_small), params_small.window
     check = ipp_check_order1(F, window, 600, (76, 0))
-    assert check == run_experiment(ExperimentSpec("ipp", params_small, 600, seed=76)).extra["check"]
-    assert check == ipp_check_order1(F, window, 600, (76, 0), n_jobs=2)
+    spec = ExperimentSpec("ipp", params_small, 600, seed=76)
+    assert check == run_experiment(spec).extra["check"]
+    assert check == run_experiment(spec, n_jobs=2).extra["check"]
 
 
 def test_ipp_check_at_a_key_offset_is_pinned(params_default):
@@ -199,8 +200,3 @@ def test_ipp_check_at_a_key_offset_is_pinned(params_default):
     assert hashlib.sha256(repr(check).encode()).hexdigest() == (
         "896615810e38b4164ff7a9bef5e7ce75d4c9fb7605a883ed24c04b868de73a0c"
     )
-
-
-def test_ipp_check_refuses_no_paths():
-    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
-        ipp_check_order1(RectangleCount(W3), W3, 0, (77, 0))
