@@ -7,6 +7,11 @@ baseline and whose every later mark sits below the kernel evaluated at the gap
 to its predecessor. Each atom contributes a jump equal to the number of chains
 ending at it, so jumps of size two and more occur; atoms whose mark exceeds
 both the baseline and the kernel sup are ignored entirely.
+
+One table of chains by length and end atom (`_chain_table`) serves both
+views: its sum over lengths is the jump at each atom (`chain_counts`), its
+sum over atoms the number of chains of each length (`chain_length_totals`).
+It grows one row per realized length, so its memory is O(n x longest chain).
 """
 from __future__ import annotations
 
@@ -30,48 +35,38 @@ def _require_uncensored_window(params: HawkesParams) -> None:
         )
 
 
-def chain_counts(params: HawkesParams, source: Configuration) -> np.ndarray:
-    """Number of chains (of any length) ending at each atom.
+def _chain_table(params: HawkesParams, source: Configuration) -> np.ndarray:
+    """Chains by length and end atom: entry [l, i] counts the chains of l + 1
+    atoms that end at atom i, for every length some chain realizes.
 
     Dynamic program in time order: an atom starts a chain when its mark is at
     most the baseline, and extends every chain ending at a strictly earlier
-    atom whose gap the kernel still covers.
+    atom whose gap the kernel still covers, one atom longer.
     """
     _require_uncensored_window(params)
     times, marks = source.times, source.marks
-    mu, kernel = params.mu, params.kernel
-    n = len(times)
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        c = np.int64(marks[i] <= mu)
-        if i:
-            links = marks[i] <= kernel._eval(times[i] - times[:i])
-            c += (links * counts[:i]).sum()
-        counts[i] = c
-    return counts
+    table = np.zeros((4, len(times)), dtype=np.int64)
+    table[0] = marks <= params.mu
+    depth = int(table[0].any())
+    for i in range(1, len(times)):
+        links = marks[i] <= params.kernel._eval(times[i] - times[:i])
+        table[1:depth + 1, i] = table[:depth, :i] @ links
+        if table[depth, i]:
+            depth += 1
+            if depth == len(table):
+                table = np.concatenate([table, np.zeros_like(table)])
+    return table[:depth]
+
+
+def chain_counts(params: HawkesParams, source: Configuration) -> np.ndarray:
+    """Number of chains (of any length) ending at each atom."""
+    return _chain_table(params, source).sum(axis=0)
 
 
 def chain_length_totals(params: HawkesParams, source: Configuration) -> np.ndarray:
     """Totals of chains by exact length up to the longest realized chain;
     partitions chain_counts."""
-    _require_uncensored_window(params)
-    times, marks = source.times, source.marks
-    n = len(times)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    links = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        links[i, :i] = marks[i] <= params.kernel._eval(times[i] - times[:i])
-    v = (marks <= params.mu).astype(np.int64)
-    totals = [v.sum()]
-    for _ in range(1, n):
-        v = links @ v
-        if not v.any():
-            break
-        totals.append(v.sum())
-    while totals and totals[-1] == 0:
-        totals.pop()
-    return np.array(totals, dtype=np.int64)
+    return _chain_table(params, source).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -175,18 +170,16 @@ def conditional_residual(
     n_prefixes: int,
     n_continuations: int,
     rng_key: RngKey,
-    split: float = 0.5,
 ) -> MCEstimate:
     """One-step conditional martingale check: freeze the configuration up to
-    split*T, resample the future, and average the forward residual
-    X_T - X_s - integral_s^T of the intensity. Estimates are per-prefix means,
-    so the standard error is taken over independent prefixes."""
+    half the horizon s = T/2, resample the future, and average the forward
+    residual X_T - X_s - integral_s^T of the intensity. Estimates are
+    per-prefix means, so the standard error is taken over independent
+    prefixes."""
     _require_uncensored_window(params)
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must be in (0, 1), got {split}")
     seed, base_index = rng_key
     T, M = params.window.T, params.window.M
-    s = split * T
+    s = 0.5 * T
     kernel, mu = params.kernel, params.mu
     prefix_means = np.empty(n_prefixes)
     for p in range(n_prefixes):

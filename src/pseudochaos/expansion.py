@@ -284,9 +284,6 @@ def _characterization_chunk(
     # pads sort past every real atom and can never be accepted
     base_t[pad] = T + 1.0 + np.broadcast_to(np.arange(w_base), (m, w_base))[pad]
     base_th[pad] = np.inf
-    order = np.argsort(base_t, axis=1, kind="stable")
-    base_t = np.take_along_axis(base_t, order, axis=1)
-    base_th = np.take_along_axis(base_th, order, axis=1)
 
     q = points_per_path
     pts_t = rng.uniform(0.0, T, size=(m, q, j_max))

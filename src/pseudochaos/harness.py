@@ -456,10 +456,10 @@ CRITERIA = (
 )
 
 
-def selfcheck(scale: float = 0.1) -> list[CheckResult]:
-    """Every criterion of CRITERIA at reduced scale: each path or query count
-    `full` becomes min(full, max(200, int(full * scale)))."""
-    size = lambda full: min(full, max(200, int(full * scale)))
+def selfcheck() -> list[CheckResult]:
+    """Every criterion of CRITERIA at a tenth of its size: each path or query
+    count `full` becomes min(full, max(200, int(full * 0.1)))."""
+    size = lambda full: min(full, max(200, int(full * 0.1)))
     return [criterion(size) for criterion in CRITERIA]
 
 

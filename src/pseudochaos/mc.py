@@ -63,12 +63,12 @@ class MCEstimate:
         se = float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else None
         return cls(n=int(x.size), mean=float(np.mean(x)), se=se, seed=seed)
 
-    def within(self, target: float, n_se: float = 3.0, slack: float = 0.0) -> bool:
-        """|mean - target| <= n_se * se + slack. A one-sample estimate has no
+    def within(self, target: float, slack: float = 0.0) -> bool:
+        """|mean - target| <= 3 * se + slack. A one-sample estimate has no
         se and hence no band, so it raises ValueError."""
         if self.se is None:
             raise ValueError(
                 f"a one-sample estimate (n={self.n}) has no standard error; "
                 "a band check needs n >= 2"
             )
-        return abs(self.mean - target) <= n_se * self.se + slack
+        return abs(self.mean - target) <= 3.0 * self.se + slack

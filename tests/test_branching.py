@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +90,65 @@ def test_chain_totals_match_brute_force_enumeration(params_small):
         dp = chain_length_totals(params_small, lifted)
         brute = brute_force_chains_by_length(params_small, lifted)
         assert dp.tolist() == brute.tolist()
+
+
+def test_zero_marks_link_every_pair(params_small):
+    # every mark 0 starts a chain and links to every earlier atom: atom i ends
+    # 2^i chains and there are C(22, l) chains of l atoms, so the table grows
+    # to 22 rows
+    source = Configuration(params_small.window, tuple(Point(0.1 * (i + 1), 0.0) for i in range(22)))
+    assert chain_counts(params_small, source).tolist() == [2**i for i in range(22)]
+    assert chain_length_totals(params_small, source).tolist() == [math.comb(22, l) for l in range(1, 23)]
+
+
+@pytest.mark.parametrize("kernel_name", ["exp_kernel", "table_kernel"])
+def test_marks_on_the_link_edges_match_brute_force(kernel_name, request):
+    # a mark exactly at mu starts a chain and a mark exactly at kernel(gap)
+    # to an earlier atom links to it: both comparisons are <=
+    params = HawkesParams(mu=0.5, kernel=request.getfixturevalue(kernel_name), window=Window(T=3.0, M=2.0))
+    rng = np.random.default_rng(426)
+    for _ in range(40):
+        times = np.sort(rng.uniform(0.0, 3.0, size=int(rng.integers(2, 8))))
+        marks = [params.mu]
+        for i in range(1, len(times)):
+            gap = times[i] - times[int(rng.integers(i))]
+            marks.append(float(params.mu if rng.integers(3) == 0 else params.kernel(gap)))
+        source = Configuration(params.window, tuple(map(Point, times.tolist(), marks)))
+        totals = chain_length_totals(params, source)
+        assert totals.tolist() == brute_force_chains_by_length(params, source).tolist()
+        assert chain_counts(params, source).sum() == totals.sum()
+
+
+def test_chain_length_totals_memory_is_linear_in_atoms(exp_kernel):
+    # 2909 atoms whose longest chain has 8 atoms: a dense n x n int64 matrix
+    # would take 68 MB
+    params = HawkesParams(mu=1.0, kernel=exp_kernel, window=Window(T=750.0, M=4.0))
+    source = sample_poisson(params.window, (3, 0))
+    assert len(source) == 2909
+    tracemalloc.start()
+    try:
+        totals = chain_length_totals(params, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(totals) == 8
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("kernel_name", ["exp_kernel", "table_kernel"])
+def test_chain_outputs_pinned_on_seeded_desk_paths(kernel_name, request):
+    # the 801-node table is 0.5 e^{-t} sampled at step 0.01, and on these paths
+    # it links exactly the pairs the exponential links
+    params = HawkesParams(mu=1.0, kernel=request.getfixturevalue(kernel_name), window=Window(T=5.0, M=4.0))
+    digests = []
+    for fn in (chain_counts, chain_length_totals):
+        h = hashlib.sha256()
+        for i in range(300):
+            values = fn(params, sample_poisson(params.window, (425, i)))
+            assert values.dtype == np.int64
+            h.update(np.int64(values.size).tobytes() + values.tobytes())
+        digests.append(h.hexdigest()[:16])
+    assert digests == ["511d394c5d134486", "44faac441b87c974"]
 
 
 def test_branching_path_worked_example(params_small):
