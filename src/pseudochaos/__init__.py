@@ -4,6 +4,7 @@ chain-counting process that shares the Hawkes intensity equation."""
 
 from .branching import (
     BranchingPath,
+    ChainCountOverflow,
     branching_path,
     chain_counts,
     chain_length_totals,

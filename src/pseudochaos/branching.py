@@ -35,22 +35,48 @@ def _require_uncensored_window(params: HawkesParams) -> None:
         )
 
 
+class ChainCountOverflow(ValueError):
+    """The chains of a configuration may pass the int64 range of the table."""
+
+    def __init__(self, atom: int, t: float, chains: int):
+        super().__init__(
+            f"{chains} chains end before atom {atom} (t={t}), and the chains through it "
+            "may pass the int64 range of the chain table"
+        )
+        self.atom = atom
+
+
+# n atoms hold at most 2**n - 1 chains, so a table of at most this many atoms
+# cannot pass int64 and needs no running total
+_UNCHECKED_ATOMS = 62
+
+
 def _chain_table(params: HawkesParams, source: Configuration) -> np.ndarray:
     """Chains by length and end atom: entry [l, i] counts the chains of l + 1
     atoms that end at atom i, for every length some chain realizes.
 
     Dynamic program in time order: an atom starts a chain when its mark is at
     most the baseline, and extends every chain ending at a strictly earlier
-    atom whose gap the kernel still covers, one atom longer.
+    atom whose gap the kernel still covers, one atom longer. So the chains
+    ending at atom i number at most one more than those ending before it. On
+    more than _UNCHECKED_ATOMS atoms an exact running total of the table
+    checks, before each atom, that its column and every sum of the table stay
+    within int64; ChainCountOverflow names the first atom it cannot clear.
     """
     _require_uncensored_window(params)
     times, marks = source.times, source.marks
     table = np.zeros((4, len(times)), dtype=np.int64)
     table[0] = marks <= params.mu
     depth = int(table[0].any())
+    checked = len(times) > _UNCHECKED_ATOMS
+    total = int(table[0, :1].sum())   # chains ending before atom i
     for i in range(1, len(times)):
+        if checked and total >= 1 << 62:
+            raise ChainCountOverflow(i, float(times[i]), total)
         links = marks[i] <= params.kernel._eval(times[i] - times[:i])
         table[1:depth + 1, i] = table[:depth, :i] @ links
+        if checked:
+            total += int(table[:, i].sum())
         if table[depth, i]:
             depth += 1
             if depth == len(table):

@@ -126,6 +126,15 @@ def sample_poisson(
         if rng_key is None:
             raise ValueError("need rng_key or rng")
         rng = rng_from_key(rng_key)
+    times, marks = _poisson_arrays(window, rng)
+    atoms = tuple(map(Point, times.tolist(), marks.tolist()))
+    return Configuration(window=window, atoms=atoms)
+
+
+def _poisson_arrays(window: Window, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of `sample_poisson` as arrays (times, marks), time sorted
+    with no ties, before any Point is built: callers that only read the
+    arrays skip the Points and the window checks, which the draws pass."""
     n = int(rng.poisson(window.area))
     times = rng.uniform(0.0, window.T, size=n)
     marks = rng.uniform(0.0, window.M, size=n)
@@ -138,8 +147,7 @@ def sample_poisson(
         times[tied + 1] = rng.uniform(0.0, window.T, size=tied.size)
         order = np.argsort(times, kind="stable")
         times, marks = times[order], marks[order]
-    atoms = tuple(map(Point, times.tolist(), marks.tolist()))
-    return Configuration(window=window, atoms=atoms)
+    return times, marks
 
 
 def add_points(config: Configuration, extra: Iterable[Point]) -> Configuration:

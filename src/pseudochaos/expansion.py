@@ -39,6 +39,9 @@ _CHUNK = 512
 # masks per stacked eval_packed call in the characterization check: j_max <= 4
 # takes one call per chunk, and a larger j_max holds no more marks at once
 _MASK_BLOCK = 16
+# masks per np.bincount call in the subset table's size histogram: a block's
+# accepted sizes, cast to intp, take at most 512 KiB
+_HIST_BLOCK = 1 << 16
 
 
 def _validate_points(window: Window, points: Sequence[Point]) -> list[Point]:
@@ -132,7 +135,8 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
 
     Kernel terms are nonnegative and rounded addition is monotone, so on every
     subset atom i's intensity lies in [mu, top], where top folds mu and the
-    lags of all live earlier atoms. So atom i falls in one of three cases:
+    lags of all live earlier atoms (`_intensity`'s all-accepted form). So atom
+    i falls in one of three cases:
     - dead (h is _DEAD), if its mark exceeds top: it is accepted on no subset.
       Its indicator would add an exact 0.0 wherever a later fold met it, so it
       gets no bit, and every subset that holds it has coefficient 0;
@@ -142,22 +146,24 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
       earlier atoms are built by doubling. A mask with top bit q is m + 2**q
       with m < 2**q, so lam[m + 2**q] = lam[m] + phi(t_i - t_j) * ind_j[m],
       where j is the q-th live atom and ind_j its indicator over its own masks.
-    Each step is one `_intensity` call, so every mask still gets mu plus its
-    accepted atoms' terms in ascending time order, and every indicator
-    decision is bitwise identical to solve_path's. On the full mask the fold
-    is top itself, and solve_path's fold differs from it only by the exact
-    0.0 terms of its rejected atoms, so the live atoms are exactly the atoms
-    solve_path accepts. Cost O(2^live) in all.
+    Each step is `_intensity`'s one-term form, which writes lam[m + 2**q]
+    straight from lam[m], so every mask still gets mu plus its accepted
+    atoms' terms in ascending time order, and every indicator decision is
+    bitwise identical to solve_path's. On the full mask the fold is top
+    itself, and solve_path's fold differs from it only by the exact 0.0 terms
+    of its rejected atoms, so the live atoms are exactly the atoms solve_path
+    accepts. h is counted in blocks of _HIST_BLOCK masks, so np.bincount's
+    cast of the accepted sizes to intp never spans the table. Cost O(2^live)
+    in all.
     """
     mu = float(params.mu)
     live, inds = [], []   # the live atoms and their indicators, in time order
     lam = sizes = np.empty(0)
     counted = 0           # sizes holds the popcounts below 2**counted
-    for i, row in enumerate(_lag_rows(params.kernel, times)):
+    for i, (row, mark) in enumerate(zip(_lag_rows(params.kernel, times), marks.tolist())):
         k = len(live)
         lags = [row[j] for j in live]
-        top = _intensity(mu, lags, [True] * k)
-        mark = marks[i]
+        top = _intensity(mu, lags)
         if mark > top:
             yield k, _DEAD
             continue
@@ -174,22 +180,27 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
             lam = np.empty(1 << (k + len(times) - 1 - i))
             sizes = np.zeros(len(lam), dtype=np.uint8)   # popcount of every mask
         for q in range(counted, k):
-            sizes[1 << q : 2 << q] = sizes[: 1 << q] + 1
+            np.add(sizes[: 1 << q], 1, out=sizes[1 << q : 2 << q])
         counted = k
         lam[0] = mu
         for q, (lag, ind) in enumerate(zip(lags, inds)):
-            lo, hi = 1 << q, 2 << q
-            lam[lo:hi] = lam[:lo]
-            _intensity(lam[lo:hi], (lag,), (ind,))
-        ind = mark <= lam[: 1 << k]
+            _intensity(lam[: 1 << q], (lag,), (ind,), out=lam[1 << q : 2 << q])
+        n = 1 << k
+        ind = mark <= lam[:n]
         inds.append(ind)
-        yield k, np.bincount(sizes[: 1 << k][ind], minlength=k + 1).tolist()
+        h = np.bincount(sizes[: min(n, _HIST_BLOCK)][ind[:_HIST_BLOCK]], minlength=k + 1)
+        for lo in range(_HIST_BLOCK, n, _HIST_BLOCK):
+            h += np.bincount(sizes[lo : lo + _HIST_BLOCK][ind[lo : lo + _HIST_BLOCK]], minlength=k + 1)
+        yield k, h.tolist()
 
 
-def _coefficient_table(params: HawkesParams, config: Configuration) -> tuple[list[int], int]:
+def _coefficient_table(
+    params: HawkesParams, times: np.ndarray, marks: np.ndarray
+) -> tuple[list[int], int]:
     """Sum of c_k over all size-k subsets for every k = 1..n (list index
     k - 1), in O(2^live), and the number of live atoms, which is the path's
-    event count (see `_size_histograms`).
+    event count (see `_size_histograms`), for the n atoms of the time-sorted
+    arrays times and marks.
 
     A subset that holds a dead atom has coefficient 0 (see
     `hawkes_coefficient`), so only subsets of live atoms count. The
@@ -202,9 +213,9 @@ def _coefficient_table(params: HawkesParams, config: Configuration) -> tuple[lis
     C(k, s) C(k-s, a-s) = C(k, a) C(a, s) its sum is C(k, a) (1 - 1)^a: it
     adds exactly 1 to the size-1 sum and nothing else.
     """
-    per_size = [0] * len(config)
+    per_size = [0] * len(times)
     events = 0
-    for k, h in _size_histograms(params, config.times, config.marks):
+    for k, h in _size_histograms(params, times, marks):
         if h is _DEAD:
             continue
         events += 1
@@ -228,7 +239,7 @@ def reconstruct(
     n = len(source)
     if n > budget:
         raise AtomBudgetExceeded(n, budget)
-    per_size, event_count = _coefficient_table(params, source)
+    per_size, event_count = _coefficient_table(params, source.times, source.marks)
     total = sum(per_size)
     return ReconstructionReport(
         source=source,

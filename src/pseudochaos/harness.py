@@ -12,11 +12,18 @@ from pathlib import Path
 import numpy as np
 
 from . import branching, expansion, malliavin
-from .configurations import DEFAULT_ATOM_BUDGET, Point, Window, _write_rows, sample_poisson
+from .configurations import (
+    DEFAULT_ATOM_BUDGET,
+    Point,
+    Window,
+    _poisson_arrays,
+    _write_rows,
+    sample_poisson,
+)
 from .hawkes import HawkesCount, HawkesParams, simulate, solve_path
 from .kernels import ConvolutionLadder, Kernel, build_ladder
 from .malliavin import ConstantFunctional, RectangleCount, ipp_check_order1, iterated_difference
-from .mc import MCEstimate, RngKey, _map_paths
+from .mc import MCEstimate, RngKey, _map_paths, rng_from_key
 
 STATISTICS = (
     "hawkes_mean",
@@ -103,7 +110,9 @@ def reconstruction_audit(
     budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AuditResult:
     """Per path, rebuild the event count from the expansion and tally exact
-    matches; paths beyond the enumeration budget are skipped, not failed."""
+    matches; paths beyond the enumeration budget are skipped, not failed.
+    Each path is drawn as `sample_poisson`'s time and mark arrays and goes
+    straight to the subset table: no Point or Configuration is built."""
     seed, base_index = rng_key
     return _tally(_reconstruction_flags(params, budget, seed, base_index, base_index + n_paths))
 
@@ -115,11 +124,12 @@ def _reconstruction_flags(
     rebuilds the event count exactly, 0 if not, -1 if over the atom budget."""
     flags = np.empty(stop - start, dtype=np.int64)
     for i, p in enumerate(range(start, stop)):
-        source = sample_poisson(params.window, (seed, p))
-        if len(source) > budget:
+        times, marks = _poisson_arrays(params.window, rng_from_key((seed, p)))
+        if len(times) > budget:
             flags[i] = -1
         else:
-            flags[i] = expansion.reconstruct(params, source, budget=budget).exact_match
+            per_size, event_count = expansion._coefficient_table(params, times, marks)
+            flags[i] = sum(per_size) == event_count
     return flags
 
 

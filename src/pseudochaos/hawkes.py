@@ -43,13 +43,30 @@ class HawkesParams:
             )
 
 
-def _intensity(mu, values, weights):
+def _intensity(mu, values, weights=None, out=None):
     """mu + values[j] * weights[j], added one j at a time in ascending order:
     the one place where an intensity is summed. Items are scalars, or arrays
     over a batch of paths or subset bitmasks (an array mu is updated in place);
     a zero weight adds an exact 0.0. np.sum (pairwise) and the builtin sum
-    (compensated on Python 3.12+) would round differently."""
+    (compensated on Python 3.12+) would round differently.
+
+    Two forms skip work and change no bit. With weights None every term is
+    added as is, since value * True == value. With out, an array, the one
+    term's sum mu + values[0] * weights[0] is written into out, which must not
+    overlap mu: an array weight is multiplied into out first, so no temporary
+    is made, and adding commutes exactly."""
+    if out is not None:
+        (value,), (w,) = values, weights
+        if isinstance(w, np.ndarray):
+            value = np.multiply(w, value, out=out)
+        else:
+            value = value * w
+        return np.add(mu, value, out=out)
     lam = mu
+    if weights is None:
+        for value in values:
+            lam += value
+        return lam
     for value, w in zip(values, weights):
         lam += value * w
     return lam

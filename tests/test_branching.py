@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pseudochaos import (
+    ChainCountOverflow,
     Configuration,
     HawkesParams,
     Kernel,
@@ -99,6 +100,31 @@ def test_zero_marks_link_every_pair(params_small):
     source = Configuration(params_small.window, tuple(Point(0.1 * (i + 1), 0.0) for i in range(22)))
     assert chain_counts(params_small, source).tolist() == [2**i for i in range(22)]
     assert chain_length_totals(params_small, source).tolist() == [math.comb(22, l) for l in range(1, 23)]
+
+
+def zero_mark_atoms(exp_kernel, n):
+    params = HawkesParams(mu=1.0, kernel=exp_kernel, window=Window(T=80.0, M=4.0))
+    return params, Configuration(params.window, tuple(Point(0.5 + i, 0.0) for i in range(n)))
+
+
+def test_chain_counts_of_62_atoms_stay_exact(exp_kernel):
+    # 2**62 - 1 chains in all, inside int64 with no running total
+    params, source = zero_mark_atoms(exp_kernel, 62)
+    counts = chain_counts(params, source)
+    assert counts.tolist() == [2**i for i in range(62)]
+    assert chain_length_totals(params, source).tolist() == [math.comb(62, l) for l in range(1, 63)]
+    assert branching_path(params, source).total == 2**62 - 1
+
+
+@pytest.mark.parametrize("fn", [chain_counts, chain_length_totals, branching_path])
+def test_chain_counts_past_int64_raise_naming_the_atom(exp_kernel, fn):
+    # 70 atoms hold 2**70 - 1 chains: int64 arithmetic would wrap silently;
+    # 2**63 - 1 chains end before atom 63, which could double them
+    params, source = zero_mark_atoms(exp_kernel, 70)
+    with pytest.raises(ChainCountOverflow, match=r"atom 63 \(t=63.5\)") as info:
+        fn(params, source)
+    assert info.value.atom == 63
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("kernel_name", ["exp_kernel", "table_kernel"])

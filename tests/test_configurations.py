@@ -11,7 +11,8 @@ from pseudochaos import (
     add_points,
     sample_poisson,
 )
-from pseudochaos.configurations import read_csv, write_csv
+from pseudochaos.configurations import _poisson_arrays, read_csv, write_csv
+from pseudochaos.mc import rng_from_key
 
 
 def test_same_key_gives_identical_configurations():
@@ -21,6 +22,17 @@ def test_same_key_gives_identical_configurations():
     assert a.atoms == b.atoms
     c = sample_poisson(w, (123, 6))
     assert c.atoms != a.atoms
+
+
+@pytest.mark.parametrize("window", [Window(T=3.0, M=2.0), Window(T=5.0, M=4.0)])
+def test_poisson_arrays_are_the_sampled_configuration(window):
+    # the audit and desk windows: the arrays are sample_poisson's atoms bit
+    # for bit, since a float's tolist() round trip through Point is exact
+    for i in range(2000):
+        times, marks = _poisson_arrays(window, rng_from_key((2626, i)))
+        config = sample_poisson(window, (2626, i))
+        assert times.tobytes() == config.times.tobytes()
+        assert marks.tobytes() == config.marks.tobytes()
 
 
 def test_vanishing_window_gives_empty_configuration():

@@ -26,16 +26,17 @@ from pseudochaos import (
     sample_poisson,
     solve_path,
 )
-from pseudochaos.configurations import DEFAULT_ATOM_BUDGET
+from pseudochaos.configurations import DEFAULT_ATOM_BUDGET, _poisson_arrays
 from pseudochaos.expansion import (
     _DEAD,
     _coefficient_table,
     _signed_binomial_row,
     _size_histograms,
 )
-from pseudochaos.harness import random_distinct_points
+from pseudochaos.harness import _reconstruction_flags, random_distinct_points
 from pseudochaos.hawkes import _intensity
 from pseudochaos.malliavin import RectangleCount
+from pseudochaos.mc import rng_from_key
 
 PHI_AT_1 = 0.5 * math.exp(-1.0)
 
@@ -240,9 +241,9 @@ def test_coefficient_table_equals_the_pass_per_atom_table(
             for n in range(12, 21)
         ]
         for config in seeded + knife_edge:
-            assert _coefficient_table(params, config)[0] == coefficient_table_by_passes(params, config)
+            assert _coefficient_table(params, config.times, config.marks)[0] == coefficient_table_by_passes(params, config)
     for params, config in pruning_edge_configs:
-        assert _coefficient_table(params, config)[0] == coefficient_table_by_passes(params, config)
+        assert _coefficient_table(params, config.times, config.marks)[0] == coefficient_table_by_passes(params, config)
 
 
 @given(st.data())
@@ -328,6 +329,42 @@ def test_reconstruct_of_always_accepted_atoms_builds_no_table(params_default, ma
     assert report.exact_match and report.event_count == 22
     # a table over the 2**21 masks of the earlier atoms would take 16 MB
     assert peak < 1 << 20
+
+
+def test_reconstruct_of_the_all_live_worst_case_stays_small(params_default):
+    # a first mark of 0.5 and the rest at 1 + 1e-9: every atom is live and
+    # undecided, so the table spans all 2**21 masks (16 MiB of intensities,
+    # 2 MiB of sizes, 4 MiB of indicators). A doubling temporary or a
+    # histogram that casts the 2**20 accepted sizes to intp at once adds 8 MiB
+    atoms = tuple(Point(0.2 * (i + 1), 0.5 if i == 0 else 1 + 1e-9) for i in range(22))
+    source = Configuration(params_default.window, atoms)
+    tracemalloc.start()
+    try:
+        report = reconstruct(params_default, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exact_match and report.event_count == 22
+    assert peak < 24 << 20
+
+
+@pytest.mark.parametrize("kernel", ["exp", "table"])
+def test_array_audit_is_reconstruct_on_the_sampled_configuration(params_small, params_small_table, kernel):
+    # the audit draws arrays and builds no Point: per path, its flag and the
+    # table on the arrays are reconstruct's report on sample_poisson's path
+    params = params_small if kernel == "exp" else params_small_table
+    flags = _reconstruction_flags(params, 12, 2626, 0, 400)
+    for p, flag in enumerate(flags.tolist()):
+        source = sample_poisson(params.window, (2626, p))
+        times, marks = _poisson_arrays(params.window, rng_from_key((2626, p)))
+        if len(source) > 12:
+            assert flag == -1
+            continue
+        report = reconstruct(params, source)
+        per_size, event_count = _coefficient_table(params, times, marks)
+        assert (tuple(per_size), event_count) == (report.per_size, report.event_count)
+        assert flag == report.exact_match == 1
+    assert (flags == -1).any()
 
 
 def test_reconstruct_budget(params_small):

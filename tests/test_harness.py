@@ -139,6 +139,22 @@ def test_chain_and_audit_reports_at_a_key_offset_are_pinned(params_default, para
     assert _sha(hist) == "266b105c08fd72dd7dde0345db4d9dea2981dd2b9c8e9eaa51d4cd364175d467"
 
 
+def test_reconstruction_artifacts_are_pinned(tmp_path, params_default):
+    # 3000 desk paths: about 29% pass the 22-atom budget and are flagged -1,
+    # every other path rebuilds its count exactly
+    run_experiment(ExperimentSpec("reconstruction", params_default, 3000, seed=2626), out_dir=tmp_path)
+    flags = (tmp_path / "reconstruction.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in flags} == {"-1", "1"}
+    digests = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("reconstruction.csv", "results.csv")
+    ]
+    assert digests == [
+        "60bdcc5d9536cebcf8d8432bb41077d8363464632e7bbea0abdccc95e073818b",
+        "06736840c2d822b04f97e6d6193811366537905f79ca023052a2b5da8eedb08e",
+    ]
+
+
 def test_histogram_without_jumps_reports_one_zero_sample(tmp_path, exp_kernel):
     # so small a baseline leaves every path empty: no jump to take a fraction of
     params = HawkesParams(mu=0.001, kernel=exp_kernel, window=Window(T=0.1, M=4.0))

@@ -181,3 +181,36 @@ def test_point_rejects_a_string():
         Point("1.0", 0.5)
     with pytest.raises(TypeError):
         Point(0.5, "1.0")
+
+
+lags = st.lists(st.floats(0.0, 1e3), max_size=8)
+
+
+@given(st.floats(1e-3, 1e3), lags)
+def test_all_accepted_intensity_is_the_weighted_fold_on_scalars(mu, values):
+    # value * True == value, so the fold without weights changes no bit
+    assert np.float64(_intensity(mu, values)).tobytes() == (
+        np.float64(_intensity(mu, values, [True] * len(values))).tobytes()
+    )
+
+
+@given(st.data(), lags, st.integers(1, 16))
+def test_intensity_forms_are_the_weighted_fold_on_arrays(data, values, size):
+    floats = st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size)
+    mu = np.array(data.draw(floats))
+    weights = [
+        np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        for _ in values
+    ]
+    assert _intensity(mu.copy(), values).tobytes() == (
+        _intensity(mu.copy(), values, [True] * len(values)).tobytes()
+    )
+    # the one-term form: out is the slice after mu in one buffer, with a guard
+    # slice after it, for an array weight with zeros and for the scalar True
+    for value, w in zip(values, weights):
+        for weight in (w, True):
+            buf = np.concatenate([mu, np.full(2 * size, -7.0)])
+            _intensity(buf[:size], (value,), (weight,), out=buf[size : 2 * size])
+            assert buf[size : 2 * size].tobytes() == _intensity(mu.copy(), (value,), (weight,)).tobytes()
+            assert buf[:size].tobytes() == mu.tobytes()
+            assert (buf[2 * size :] == -7.0).all()
