@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .configurations import Configuration, Window, sample_poisson
+from .configurations import Configuration, Window, _poisson_arrays, sample_poisson
 from .hawkes import HawkesParams, _intensity
 from .mc import MCEstimate, RngKey, rng_from_key
 
@@ -51,9 +51,9 @@ class ChainCountOverflow(ValueError):
 _UNCHECKED_ATOMS = 62
 
 
-def _chain_table(params: HawkesParams, source: Configuration) -> np.ndarray:
-    """Chains by length and end atom: entry [l, i] counts the chains of l + 1
-    atoms that end at atom i, for every length some chain realizes.
+def _chain_table(params: HawkesParams, times: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Chains by length and end atom of the time-sorted atoms (times, marks): entry
+    [l, i] counts the chains of l + 1 atoms ending at atom i, for every realized length.
 
     Dynamic program in time order: an atom starts a chain when its mark is at
     most the baseline, and extends every chain ending at a strictly earlier
@@ -64,7 +64,6 @@ def _chain_table(params: HawkesParams, source: Configuration) -> np.ndarray:
     within int64; ChainCountOverflow names the first atom it cannot clear.
     """
     _require_uncensored_window(params)
-    times, marks = source.times, source.marks
     table = np.zeros((4, len(times)), dtype=np.int64)
     table[0] = marks <= params.mu
     depth = int(table[0].any())
@@ -86,13 +85,13 @@ def _chain_table(params: HawkesParams, source: Configuration) -> np.ndarray:
 
 def chain_counts(params: HawkesParams, source: Configuration) -> np.ndarray:
     """Number of chains (of any length) ending at each atom."""
-    return _chain_table(params, source).sum(axis=0)
+    return _chain_table(params, source.times, source.marks).sum(axis=0)
 
 
 def chain_length_totals(params: HawkesParams, source: Configuration) -> np.ndarray:
     """Totals of chains by exact length up to the longest realized chain;
     partitions chain_counts."""
-    return _chain_table(params, source).sum(axis=1)
+    return _chain_table(params, source.times, source.marks).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,9 @@ class BranchingPath:
         return int(c[self.source.times <= t].sum())
 
     def intensity(self, t: float) -> float:
-        """mu plus the kernel-weighted chain counts of atoms strictly before t."""
+        """mu plus the kernel-weighted chain counts of atoms strictly before t >= 0."""
+        if t < 0.0:
+            raise ValueError(f"time must be >= 0, got {t}")
         times = self.source.times
         cut = int(np.searchsorted(times, t, side="left"))
         row = self.params.kernel._eval(t - times[:cut]).tolist() if cut else ()
@@ -210,20 +211,16 @@ def conditional_residual(
     prefix_means = np.empty(n_prefixes)
     for p in range(n_prefixes):
         rng = rng_from_key((seed, base_index + p))
-        prefix = sample_poisson(Window(T=s, M=M), rng=rng)
+        prefix_t, prefix_th = _poisson_arrays(Window(T=s, M=M), rng)
         vals = np.empty(n_continuations)
         for c in range(n_continuations):
-            future = sample_poisson(Window(T=T - s, M=M), rng=rng)
-            atoms = prefix.atoms + tuple(
-                type(a)(a.t + s, a.theta) for a in future.atoms
-            )
-            merged = Configuration(window=Window(T=T, M=M), atoms=atoms)
-            counts = chain_counts(params, merged)
-            after = merged.times > s
-            forward_jump = counts[after].sum()
-            lower = np.maximum(s - merged.times, 0.0)
+            future_t, future_th = _poisson_arrays(Window(T=T - s, M=M), rng)
+            times = np.concatenate([prefix_t, future_t + s])
+            counts = _chain_table(params, times, np.concatenate([prefix_th, future_th])).sum(axis=0)
+            forward_jump = counts[times > s].sum()
+            lower = np.maximum(s - times, 0.0)
             forward_comp = mu * (T - s) + float(
-                (counts * (kernel._partial(T - merged.times) - kernel._partial(lower))).sum()
+                (counts * (kernel._partial(T - times) - kernel._partial(lower))).sum()
             )
             vals[c] = forward_jump - forward_comp
         prefix_means[p] = vals.mean()

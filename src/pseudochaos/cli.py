@@ -345,8 +345,10 @@ def main(argv=None) -> int:
         return _COMMANDS[ns.command](cfg, params, ns)
     except (ValueError, AtomBudgetExceeded, FileNotFoundError, MemoryError) as exc:
         # numpy refuses an allocation larger than memory at once, having used
-        # none, and one past the address space with ValueError("array is too big")
-        too_big = isinstance(exc, MemoryError) or "array is too big" in str(exc)
+        # none, and one past the address space or the largest arange with
+        # ValueError("array is too big" or "Maximum allowed size exceeded")
+        too_big = isinstance(exc, MemoryError) or any(
+            s in str(exc) for s in ("array is too big", "Maximum allowed size exceeded"))
         hint = "; lower T, M, n_paths or n_max, or raise h" if too_big else ""
         if isinstance(exc, AtomBudgetExceeded):
             hint = "; raise budget in the --config file" + _BUDGET_HINTS.get(ns.command, "")

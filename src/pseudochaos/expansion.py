@@ -27,7 +27,6 @@ from .configurations import (
     Point,
     TimeCollisionError,
     Window,
-    sample_poisson,
 )
 from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows
 from .malliavin import Functional, iterated_difference
@@ -44,12 +43,12 @@ _MASK_BLOCK = 16
 _HIST_BLOCK = 1 << 16
 
 
-def _validate_points(window: Window, points: Sequence[Point]) -> list[Point]:
+def _validate_points(window: Window | None, points: Sequence[Point]) -> list[Point]:
     pts = sorted(points, key=lambda p: p.t)
     if not pts:
-        raise ValueError("need at least one point")
+        raise ValueError(f"need at least one point, got points={list(points)}")
     for p in pts:
-        if not window.contains(p):
+        if window is not None and not window.contains(p):
             raise ValueError(f"point {p} outside window {window}")
     for a, b in zip(pts, pts[1:]):
         if a.t == b.t:
@@ -275,30 +274,34 @@ def _characterization_chunk(
     seed: int,
     start: int,
     stop: int,
+    points: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict:
     """The m = stop - start paths of one chunk, from the key (seed, start // _CHUNK):
-    scaled term samples "terms", shape (j_max, m), and F's samples "ref", shape (m,)."""
+    "diffs", shape (j_max, m), whose row j - 1 is D^j F at the first j of j_max
+    points, averaged over points_per_path uniform draws of them (or at the given
+    points, time-sorted arrays (times, marks)), and F's samples "ref", shape (m,)."""
     m = stop - start
-    T, M, area = window.T, window.M, window.area
+    T, M = window.T, window.M
     n_masks = 1 << j_max
-    scale = [
-        ((-1.0) ** (j + 1)) * area**j / math.factorial(j) for j in range(1, j_max + 1)
-    ]
     rng = rng_from_key((seed, start // _CHUNK))
 
-    counts = rng.poisson(area, size=m)
+    counts = rng.poisson(window.area, size=m)
     w_base = int(counts.max()) if m else 0
     width = w_base + j_max
     base_t = rng.uniform(0.0, T, size=(m, w_base))
     base_th = rng.uniform(0.0, M, size=(m, w_base))
+    q = points_per_path
+    if points is None:
+        pts_t = rng.uniform(0.0, T, size=(m, q, j_max))
+        pts_th = rng.uniform(0.0, M, size=(m, q, j_max))
+    else:
+        pts_t, pts_th = (np.broadcast_to(a, (m, q, j_max)) for a in points)
     pad = np.arange(w_base) >= counts[:, None]
-    # pads sort past every real atom and can never be accepted
-    base_t[pad] = T + 1.0 + np.broadcast_to(np.arange(w_base), (m, w_base))[pad]
+    # pads sort past every real atom and point and can never be accepted; a
+    # point past T or M is legal: no functional accepts an atom outside its window
+    base_t[pad] = max(T, pts_t.max()) + 1.0 + np.broadcast_to(np.arange(w_base), (m, w_base))[pad]
     base_th[pad] = np.inf
 
-    q = points_per_path
-    pts_t = rng.uniform(0.0, T, size=(m, q, j_max))
-    pts_th = rng.uniform(0.0, M, size=(m, q, j_max))
     full_t = np.concatenate(
         [np.repeat(base_t[:, None, :], q, axis=1), pts_t], axis=2
     )
@@ -336,11 +339,7 @@ def _characterization_chunk(
             first = max(mask.bit_length(), 1)
             signs = (-1.0) ** (np.arange(first, j_max + 1) - mask.bit_count())
             diff[first - 1 :] += signs[:, None] * row
-
-    terms = np.empty((j_max, m))
-    for j in range(1, j_max + 1):
-        terms[j - 1] = scale[j - 1] * diff[j - 1].reshape(m, q).mean(axis=1)
-    return {"terms": terms, "ref": ref}
+    return {"diffs": diff.reshape(j_max, m, q).mean(axis=2), "ref": ref}
 
 
 def _require_characterization_args(j_max: int, n_paths: int, points_per_path: int, budget: int) -> None:
@@ -354,9 +353,14 @@ def _require_characterization_args(j_max: int, n_paths: int, points_per_path: in
         raise AtomBudgetExceeded(j_max, budget)
 
 
-def _characterization_report(paths: dict, seed: int) -> CharacterizationReport:
-    """The report of _characterization_chunk's term and reference samples."""
-    term_paths, ref_paths = paths["terms"], paths["ref"]
+def _characterization_report(paths: dict, window: Window, seed: int) -> CharacterizationReport:
+    """The report of _characterization_chunk's difference and reference
+    samples: term j is diffs[j - 1] scaled by (-1)^(j+1) area^j / j!."""
+    area, ref_paths = window.area, paths["ref"]
+    term_paths = np.array([
+        ((-1.0) ** (j + 1)) * area**j / math.factorial(j) * d
+        for j, d in enumerate(paths["diffs"], start=1)
+    ])
     terms = tuple(MCEstimate.from_samples(samples, seed=seed) for samples in term_paths)
     cumulative_paths = term_paths.sum(axis=0)
     last = terms[-1]
@@ -401,7 +405,7 @@ def characterization_check(
     start = base_index * _CHUNK   # chunk c starts at (base_index + c) * _CHUNK
     loop = functools.partial(_characterization_chunk, F, window, j_max, points_per_path)
     paths = _map_paths(loop, seed, start, start + n_paths, chunk=_CHUNK)
-    return _characterization_report(paths, seed)
+    return _characterization_report(paths, window, seed)
 
 
 def chaotic_coefficient_mc(
@@ -413,25 +417,19 @@ def chaotic_coefficient_mc(
 ) -> MCEstimate:
     """Monte Carlo estimate of the compensated-chaos coefficient E[D^j H_T] at
     fixed points: unlike the uncompensated coefficients there is no closed
-    form, so each sample needs a fresh simulated configuration."""
+    form. The samples are the characterization's order-j differences with its
+    points fixed: chunk c of _CHUNK paths draws from the key (seed, base_index + c),
+    and time ties (measure zero) are not redrawn. Points beyond the horizon or
+    mark ceiling are legal; H_T ignores them, which is the point of the t > T example."""
     if j != len(points):
         raise ValueError(f"expected {j} points, got {len(points)}")
+    pts = _validate_points(None, points)
+    _require_characterization_args(j, n_paths, 1, DEFAULT_ATOM_BUDGET)
     seed, base_index = rng_key
-    F = HawkesCount(params)
-    # envelope window so points beyond the horizon or mark ceiling are legal
-    # inputs; F itself ignores them, which is the point of the t > T example
-    env = Window(
-        T=max(params.window.T, max(p.t for p in points) + 1.0),
-        M=max(params.window.M, max(p.theta for p in points) + 1.0),
+    start = base_index * _CHUNK
+    fixed = (np.array([p.t for p in pts]), np.array([p.theta for p in pts]))
+    loop = functools.partial(
+        _characterization_chunk, HawkesCount(params), params.window, j, 1, points=fixed
     )
-    pts = _validate_points(env, points)
-    samples = np.empty(n_paths)
-    for p in range(n_paths):
-        rng = rng_from_key((seed, base_index + p))
-        while True:
-            omega = sample_poisson(params.window, rng=rng)
-            if not ({a.t for a in omega.atoms} & {x.t for x in pts}):
-                break
-        lifted = Configuration(window=env, atoms=omega.atoms)
-        samples[p] = iterated_difference(F, lifted, pts)
-    return MCEstimate.from_samples(samples, seed=seed)
+    paths = _map_paths(loop, seed, start, start + n_paths, chunk=_CHUNK)
+    return MCEstimate.from_samples(paths["diffs"][-1], seed=seed)

@@ -207,7 +207,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, n_jobs: int = 1) -> Exper
             expansion._characterization_chunk, HawkesCount(spec.params), spec.params.window,
             spec.j_max, spec.points_per_path, chunk=expansion._CHUNK,
         )
-        report = expansion._characterization_report(paths, spec.seed)
+        report = expansion._characterization_report(paths, spec.params.window, spec.seed)
         headline = report.residual
         extra["report"] = report
         artifact_rows["characterization.csv"] = (

@@ -75,7 +75,7 @@ class Kernel:
     @classmethod
     def from_csv(cls, path) -> "Kernel":
         """Load a table kernel from CSV with header ``t,value``; the t column
-        must be equally spaced, strictly increasing, and start at 0."""
+        must start at 0 and rise in equal steps (to 1e-9 of the first step)."""
         pairs = _read_pairs(path, "t,value")
         if not pairs:
             raise ValueError(f"{path}: empty kernel table")
@@ -88,7 +88,7 @@ class Kernel:
         if np.any(steps <= 0.0):
             raise ValueError(f"{path}: time grid must be strictly increasing")
         h = float(steps[0])
-        if np.any(np.abs(steps - h) > 1e-9 * max(h, 1.0)):
+        if np.any(np.abs(steps - h) > 1e-9 * h):
             raise ValueError(f"{path}: time grid must be equally spaced")
         return cls.from_table(h, vs)
 
@@ -249,7 +249,10 @@ def build_ladder(kernel: Kernel, step: float, horizon: float, n_max: int = 40) -
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     kernel.require_stable()
 
-    n_nodes = int(np.ceil(horizon / step)) + 1
+    spans = float(horizon) / float(step)   # a Python float: inf on overflow, no warning
+    if not np.isfinite(spans):
+        raise ValueError(f"grid step {step} is too fine for horizon {horizon}: horizon / step overflows")
+    n_nodes = int(np.ceil(spans)) + 1
     grid = step * np.arange(n_nodes)
     phi = kernel._eval(grid)
 

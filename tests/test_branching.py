@@ -18,6 +18,7 @@ from pseudochaos import (
     chain_counts,
     chain_length_totals,
     conditional_residual,
+    intensity_on_configuration,
     jump_size_histogram,
     martingale_residual,
     sample_poisson,
@@ -207,6 +208,16 @@ def test_intensity_uses_open_interval(params_small):
     assert path.intensity(1.0 + 1e-9) > 1.0
 
 
+def test_intensity_refuses_negative_time_as_the_hawkes_intensity_does(params_small):
+    source = Configuration(params_small.window, (Point(1.0, 0.5),))
+    path = branching_path(params_small, source)
+    with pytest.raises(ValueError, match="time must be >= 0, got -0.5"):
+        intensity_on_configuration(params_small, source, -0.5)
+    with pytest.raises(ValueError, match="time must be >= 0, got -0.5"):
+        path.intensity(-0.5)
+    assert path.intensity(0.0) == 1.0
+
+
 def test_compensator_matches_dense_quadrature(params_small):
     for i in range(10):
         source = sample_poisson(params_small.window, (413, i))
@@ -240,6 +251,13 @@ def test_martingale_residual_exponential(params_default):
 def test_conditional_residual(params_default):
     est = conditional_residual(params_default, 250, 8, (417, 0))
     assert est.within(0.0)
+
+
+def test_conditional_residual_is_pinned(params_default):
+    # criterion 7's conditional check at full size; merging the prefix and
+    # continuation draws as arrays left every bit of it unchanged
+    est = conditional_residual(params_default, 500, 8, (7001, 0))
+    assert (est.n, est.mean, est.se) == (500, 0.044991855582607584, 0.0824487130779023)
 
 
 def test_histogram_zero_kernel_only_unit_jumps(zero_kernel):

@@ -268,6 +268,9 @@ BAD_INPUT_FILES = {
     "j_max_huge.cfg": VALID + f"j_max = {2**40}\n",
     # numpy refuses these allocations (TiB and PiB) at once, before using any memory
     "tiny_h.cfg": VALID + "h = 1e-12\n",
+    # horizon / h passes numpy's largest arange, and overflows a float
+    "h_1e-300.cfg": VALID + "h = 1e-300\n",
+    "h_1e-320.cfg": VALID + "h = 1e-320\n",
     "huge_T.cfg": VALID.replace("T = 5", "T = 1e15"),
 }
 
@@ -294,6 +297,8 @@ BAD_INPUT_FILES = {
         ["--config", "j_max_huge.cfg", "characterize"],
         ["--config", "budget2.cfg", "--paths", "20", "characterize"],   # j_max 4 > budget 2
         ["--config", "tiny_h.cfg", "expect"],
+        ["--config", "h_1e-300.cfg", "expect"],
+        ["--config", "h_1e-320.cfg", "expect"],
         *(["--config", "huge_T.cfg", command]
           for command in ("simulate", "expect", "branching", "characterize", "ipp")),
     ],
@@ -309,9 +314,10 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
 
 
 def test_oversized_run_names_what_to_lower(tmp_path, capsys):
-    # numpy raises MemoryError for most of these, and ValueError("array is too
-    # big") for characterize's sample; both get the hint
-    runs = [("tiny_h.cfg", "expect")] + [
+    # numpy raises MemoryError for most of these, ValueError("array is too
+    # big") for characterize's sample and ValueError("Maximum allowed size
+    # exceeded") for the ladder's grid at h = 1e-300; all get the hint
+    runs = [("tiny_h.cfg", "expect"), ("h_1e-300.cfg", "expect")] + [
         ("huge_T.cfg", command)
         for command in ("simulate", "expect", "branching", "characterize", "ipp")
     ]

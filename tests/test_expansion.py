@@ -14,6 +14,7 @@ from pseudochaos import (
     HawkesCount,
     HawkesParams,
     Kernel,
+    MCEstimate,
     Point,
     TimeCollisionError,
     Window,
@@ -35,7 +36,7 @@ from pseudochaos.expansion import (
 )
 from pseudochaos.harness import _reconstruction_flags, random_distinct_points
 from pseudochaos.hawkes import _intensity
-from pseudochaos.malliavin import RectangleCount
+from pseudochaos.malliavin import RectangleCount, iterated_difference
 from pseudochaos.mc import rng_from_key
 
 PHI_AT_1 = 0.5 * math.exp(-1.0)
@@ -570,3 +571,42 @@ def test_chaotic_coefficient_runs_agree(params_small):
     b = chaotic_coefficient_mc(params_small, 1, pts, 3000, (48, 0))
     width = 3.0 * math.hypot(a.se, b.se)
     assert abs(a.mean - b.mean) <= width
+
+
+CHAOTIC_POINTS = [Point(1.0, 0.5), Point(2.0, 1.2)]
+
+
+@pytest.mark.parametrize(
+    "fixture, rng_key, mean, se",
+    [
+        ("params_default", (47, 0), 0.23833333333333334, 0.056095314319729035),
+        ("params_default", (48, 3), 0.19166666666666668, 0.06140078644263801),
+        ("params_small_table", (47, 0), 0.135, 0.024060823039585268),
+    ],
+)
+def test_chaotic_coefficient_is_pinned(fixture, rng_key, mean, se, request):
+    # the samples follow the characterization's chunk streams: chunk c of 512
+    # paths draws from the key (seed, base_index + c)
+    params = request.getfixturevalue(fixture)
+    est = chaotic_coefficient_mc(params, 2, CHAOTIC_POINTS, 600, rng_key)
+    assert (est.n, est.mean, est.se) == (600, mean, se)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [CHAOTIC_POINTS, [Point(0.5, 1.1), Point(1.5, 0.8), Point(2.5, 1.3)]],
+)
+def test_chaotic_coefficient_agrees_with_per_path_differences(params_small, points):
+    # the same estimator, one path at a time through iterated_difference
+    F = HawkesCount(params_small)
+    oracle = MCEstimate.from_samples([
+        iterated_difference(F, sample_poisson(params_small.window, (50, i)), points)
+        for i in range(2000)
+    ])
+    est = chaotic_coefficient_mc(params_small, len(points), points, 2000, (49, 0))
+    assert abs(est.mean - oracle.mean) <= 3.0 * math.hypot(est.se, oracle.se)
+
+
+def test_chaotic_coefficient_rejects_no_points(params_small):
+    with pytest.raises(ValueError, match="need at least one point, got points=\\[\\]"):
+        chaotic_coefficient_mc(params_small, 0, [], 10, (47, 0))

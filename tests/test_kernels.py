@@ -250,6 +250,9 @@ def test_ladder_rejects_unstable_and_bad_step():
             build_ladder(EXP, bad, 10.0)
         with pytest.raises(ValueError, match="finite"):
             build_ladder(EXP, 0.01, bad)
+    # horizon / step overflows to inf: a ValueError naming both, not an OverflowError
+    with pytest.raises(ValueError, match="grid step 1e-320 is too fine for horizon 5.0"):
+        build_ladder(EXP, 1e-320, 5.0)
 
 
 def test_nested_triple_integral_matches_convolution_form():
@@ -303,6 +306,22 @@ def test_from_csv_rejects_bad_inputs(tmp_path):
     short.write_text("t,value\n0\n0.01,0.4\n")
     with pytest.raises(ValueError, match=r"c\.csv, line 2"):
         Kernel.from_csv(short)
+
+
+def test_from_csv_spacing_tolerance_is_relative_to_the_step(tmp_path):
+    # steps 1e-10, 4e-10, 1e-10: an absolute tolerance of 1e-9 once took this
+    # as step 1e-10 and read kernel(5e-10) as 0.0 where the file says 0.3
+    fine = tmp_path / "fine.csv"
+    fine.write_text("t,value\n0,0.5\n1e-10,0.4\n5e-10,0.3\n6e-10,0.2\n")
+    with pytest.raises(ValueError, match="equally spaced"):
+        Kernel.from_csv(fine)
+    # the 801-node grid 0.01 * i written by repr, as CI writes it, still loads
+    grid = tmp_path / "grid.csv"
+    t = 0.01 * np.arange(801)
+    rows = [f"{a!r},{b!r}" for a, b in zip(t.tolist(), (0.5 * np.exp(-t)).tolist())]
+    grid.write_text("t,value\n" + "\n".join(rows) + "\n")
+    kernel = Kernel.from_csv(grid)
+    assert (kernel.step, len(kernel.values)) == (0.01, 801)
 
 
 def test_monotonicity_flags():
