@@ -91,7 +91,7 @@ def hawkes_coefficient(
             return 0
     if h is _ALWAYS:
         return int(live == 0)
-    return sum((-1) ** (live - s) * count for s, count in enumerate(h))
+    return sum((-1) ** (live - s) * count for s, count in enumerate(h.tolist()))
 
 
 def coefficient_oracle(
@@ -122,9 +122,17 @@ _DEAD, _ALWAYS = "dead", "always"
 
 
 @functools.cache
-def _signed_binomial_row(m: int) -> tuple[int, ...]:
-    """(-1)^b C(m, b) for b = 0..m."""
-    return tuple((-1) ** b * math.comb(m, b) for b in range(m + 1))
+def _signed_binomial_table(k: int) -> np.ndarray:
+    """The read-only (k + 1, k + 1) array W with W[s, a] = (-1)^(a-s)
+    C(k-s, a-s) for s <= a, else 0: the weight of a size-s submask in the sum
+    over size-a masks of k atoms. A histogram h of those submasks has
+    |(h @ W)[a]| <= C(k, a) 2^a < 4^k, so W is int64 for k < 32, where that
+    product is exact, and holds Python ints beyond."""
+    table = np.zeros((k + 1, k + 1), dtype=np.int64 if k < 32 else object)
+    for s in range(k + 1):
+        table[s, s:] = [(-1) ** b * math.comb(k - s, b) for b in range(k - s + 1)]
+    table.flags.writeable = False
+    return table
 
 
 def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray):
@@ -190,7 +198,7 @@ def _size_histograms(params: HawkesParams, times: np.ndarray, marks: np.ndarray)
         h = np.bincount(sizes[: min(n, _HIST_BLOCK)][ind[:_HIST_BLOCK]], minlength=k + 1)
         for lo in range(_HIST_BLOCK, n, _HIST_BLOCK):
             h += np.bincount(sizes[lo : lo + _HIST_BLOCK][ind[lo : lo + _HIST_BLOCK]], minlength=k + 1)
-        yield k, h.tolist()
+        yield k, h
 
 
 def _coefficient_table(
@@ -207,10 +215,11 @@ def _coefficient_table(
     indicator over the submasks of mask, so with k live atoms before atom i
     an accepted size-s submask counts once in each of its C(k-s, a-s) size-a
     supersets, with sign (-1)^(a-s): atom i adds
-    sum_s (-1)^(a-s) C(k-s, a-s) h[s] to the size-(a+1) sum, in exact
-    integers. An always-accepted atom has h[s] = C(k, s), and since
-    C(k, s) C(k-s, a-s) = C(k, a) C(a, s) its sum is C(k, a) (1 - 1)^a: it
-    adds exactly 1 to the size-1 sum and nothing else.
+    sum_s (-1)^(a-s) C(k-s, a-s) h[s] to the size-(a+1) sum, the product of h
+    with `_signed_binomial_table(k)`. An always-accepted atom has
+    h[s] = C(k, s), and since C(k, s) C(k-s, a-s) = C(k, a) C(a, s) its sum is
+    C(k, a) (1 - 1)^a: it adds exactly 1 to the size-1 sum and nothing else.
+    Every product and sum is exact.
     """
     per_size = [0] * len(times)
     events = 0
@@ -221,9 +230,8 @@ def _coefficient_table(
         if h is _ALWAYS:
             per_size[0] += 1
             continue
-        for s, count in enumerate(h):
-            for a, weight in enumerate(_signed_binomial_row(k - s), s):
-                per_size[a] += weight * count
+        for a, term in enumerate((h @ _signed_binomial_table(k)).tolist()):
+            per_size[a] += term
     return per_size, events
 
 
@@ -279,7 +287,12 @@ def _characterization_chunk(
     """The m = stop - start paths of one chunk, from the key (seed, start // _CHUNK):
     "diffs", shape (j_max, m), whose row j - 1 is D^j F at the first j of j_max
     points, averaged over points_per_path uniform draws of them (or at the given
-    points, time-sorted arrays (times, marks)), and F's samples "ref", shape (m,)."""
+    points, time-sorted arrays (times, marks)), and F's samples "ref", shape (m,).
+
+    Once every draw is made, the paths are evaluated in order of atom count,
+    most first, which is the row order `HawkesCount.eval_packed` sweeps
+    fastest; any functional gives the same values in any row order, and the
+    samples are put back in path order before the mean over point draws."""
     m = stop - start
     T, M = window.T, window.M
     n_masks = 1 << j_max
@@ -296,6 +309,11 @@ def _characterization_chunk(
         pts_th = rng.uniform(0.0, M, size=(m, q, j_max))
     else:
         pts_t, pts_th = (np.broadcast_to(a, (m, q, j_max)) for a in points)
+    # most atoms first, so the rows that hold atom i are a prefix
+    by_count = np.argsort(-counts, kind="stable")
+    counts, base_t, base_th, pts_t, pts_th = (
+        a[by_count] for a in (counts, base_t, base_th, pts_t, pts_th)
+    )
     pad = np.arange(w_base) >= counts[:, None]
     # pads sort past every real atom and point and can never be accepted; a
     # point past T or M is legal: no functional accepts an atom outside its window
@@ -339,7 +357,9 @@ def _characterization_chunk(
             first = max(mask.bit_length(), 1)
             signs = (-1.0) ** (np.arange(first, j_max + 1) - mask.bit_count())
             diff[first - 1 :] += signs[:, None] * row
-    return {"diffs": diff.reshape(j_max, m, q).mean(axis=2), "ref": ref}
+    # back to path order before the mean over the point draws
+    unsort = np.argsort(by_count)
+    return {"diffs": diff.reshape(j_max, m, q)[:, unsort].mean(axis=2), "ref": ref[unsort]}
 
 
 def _require_characterization_args(j_max: int, n_paths: int, points_per_path: int, budget: int) -> None:

@@ -218,17 +218,26 @@ class HawkesCount(Functional):
         lags take one kernel call and serve every mask, and `_intensity` adds
         up the intensities, each predecessor's (masks, rows) batch contiguous.
         Marks laid out in that order in memory (a transposed view) are not
-        copied."""
+        copied.
+
+        Column i is swept only over the rows up to the last one that holds
+        atom i (n_valid > i); no later row can accept it. Rows in any order
+        give the same counts, and rows sorted by n_valid, most first, are the
+        fastest: every column then sweeps just the rows that hold it."""
         mu, kernel = self.params.mu, self.params.kernel
         stacked = marks.ndim == 3
         times = np.ascontiguousarray(times.T)
         marks = np.ascontiguousarray(np.moveaxis(marks if stacked else marks[None], -1, 0))
-        width = times.shape[0]
+        width, n_valid = times.shape[0], np.asarray(n_valid)
         inside = (times <= self.window.T) & (np.arange(width)[:, None] < n_valid)
+        # held[r]: the most atoms any row from r on holds
+        held = np.maximum.accumulate(n_valid[::-1])[::-1]
         accepted = np.zeros(marks.shape, dtype=bool)
         for i in range(width):
-            vals = kernel._eval(np.maximum(times[i] - times[:i], 0.0)) if i else ()
-            lam = _intensity(mu, vals, accepted[:i])
-            accepted[i] = inside[i] & (marks[i] <= self.window.M) & (marks[i] <= lam)
+            r = int(np.count_nonzero(held > i))
+            vals = kernel._eval(np.maximum(times[i, :r] - times[:i, :r], 0.0)) if i else ()
+            lam = _intensity(mu, vals, accepted[:i, :, :r])
+            m_i = marks[i, :, :r]
+            accepted[i, :, :r] = inside[i, :r] & (m_i <= self.window.M) & (m_i <= lam)
         counts = accepted.sum(axis=0).astype(float)
         return counts if stacked else counts[0]

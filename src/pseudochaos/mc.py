@@ -3,7 +3,6 @@ spreads chunks of paths over worker processes, and sample estimates."""
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,10 @@ def _map_paths(loop, seed: int, start: int, stop: int, n_jobs: int = 1, chunk: i
     per_chunk = functools.partial(loop, seed)
     if n_jobs == 1:
         return _concat(list(map(per_chunk, los, his)))
+    # imported here, so `import pseudochaos` and one-job runs do not load
+    # concurrent.futures and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return _concat(list(pool.map(per_chunk, los, his)))
 

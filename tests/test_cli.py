@@ -275,32 +275,36 @@ BAD_INPUT_FILES = {
 }
 
 
+# explicit ids, so a case added anywhere renames no other test; the ids are
+# the positional ones the cases had before they were pinned
 @pytest.mark.parametrize(
     "argv",
     [
-        ["reconstruct"],                           # seed 7 samples 24 atoms, budget 22
-        ["--paths", "0", "simulate"],
-        ["coeff", "--points", "1:0.5,1:0.7"],      # duplicate time
-        ["coeff", "--points", "9:0.5"],            # outside the window
-        ["reconstruct", "--atoms", "one_column_atoms.csv"],
-        ["--config", "table.cfg", "simulate"],     # one-column kernel table row
-        ["--config", "no_points.cfg", "--paths", "10", "characterize"],
-        ["--paths", "1", "characterize"],          # one path has no se to band
-        ["--paths", "1", "ipp"],
-        ["--paths", "1", "expect"],
-        ["coeff", "--random", "2", "--k-max", "0"],
+        pytest.param(["reconstruct"], id="argv0"),   # seed 7 samples 24 atoms, budget 22
+        pytest.param(["--paths", "0", "simulate"], id="argv1"),
+        pytest.param(["coeff", "--points", "1:0.5,1:0.7"], id="argv2"),   # duplicate time
+        pytest.param(["coeff", "--points", "9:0.5"], id="argv3"),         # outside the window
+        pytest.param(["reconstruct", "--atoms", "one_column_atoms.csv"], id="argv4"),
+        pytest.param(["--config", "table.cfg", "simulate"], id="argv5"),  # one-column kernel table row
+        pytest.param(["--config", "no_points.cfg", "--paths", "10", "characterize"], id="argv6"),
+        pytest.param(["--paths", "1", "characterize"], id="argv7"),       # one path has no se to band
+        pytest.param(["--paths", "1", "ipp"], id="argv8"),
+        pytest.param(["--paths", "1", "expect"], id="argv9"),
+        pytest.param(["coeff", "--random", "2", "--k-max", "0"], id="argv10"),
         # five points need a budget of 4 earlier atoms
-        ["--config", "budget2.cfg", "coeff", "--points", "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"],
-        ["--config", "split.cfg", "simulate"],
-        ["--config", "inf_h.cfg", "expect"],
-        ["--config", "j_max23.cfg", "characterize"],
-        ["--config", "j_max_huge.cfg", "characterize"],
-        ["--config", "budget2.cfg", "--paths", "20", "characterize"],   # j_max 4 > budget 2
-        ["--config", "tiny_h.cfg", "expect"],
-        ["--config", "h_1e-300.cfg", "expect"],
-        ["--config", "h_1e-320.cfg", "expect"],
-        *(["--config", "huge_T.cfg", command]
-          for command in ("simulate", "expect", "branching", "characterize", "ipp")),
+        pytest.param(["--config", "budget2.cfg", "coeff", "--points",
+                      "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"], id="argv11"),
+        pytest.param(["--config", "split.cfg", "simulate"], id="argv12"),
+        pytest.param(["--config", "inf_h.cfg", "expect"], id="argv13"),
+        pytest.param(["--config", "j_max23.cfg", "characterize"], id="argv14"),
+        pytest.param(["--config", "j_max_huge.cfg", "characterize"], id="argv15"),
+        # j_max 4 > budget 2
+        pytest.param(["--config", "budget2.cfg", "--paths", "20", "characterize"], id="argv16"),
+        pytest.param(["--config", "tiny_h.cfg", "expect"], id="argv17"),
+        pytest.param(["--config", "h_1e-300.cfg", "expect"], id="argv18"),
+        pytest.param(["--config", "h_1e-320.cfg", "expect"], id="argv19"),
+        *(pytest.param(["--config", "huge_T.cfg", command], id=f"argv{i}")
+          for i, command in enumerate(("simulate", "expect", "branching", "characterize", "ipp"), 20)),
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -334,9 +338,12 @@ def test_oversized_run_names_what_to_lower(tmp_path, capsys):
     "argv, also",
     [
         # seed 7, the default, samples 24 atoms
-        (["reconstruct"], ", pass fewer atoms with --atoms, or pick another --seed"),
-        (["--config", "budget2.cfg", "coeff", "--points", "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"], ""),
-        (["--config", "budget2.cfg", "--paths", "20", "characterize"], ", or lower j_max"),
+        pytest.param(["reconstruct"], ", pass fewer atoms with --atoms, or pick another --seed",
+                     id="argv0-, pass fewer atoms with --atoms, or pick another --seed"),
+        pytest.param(["--config", "budget2.cfg", "coeff", "--points",
+                      "0.5:0.5,1:0.5,1.5:0.5,2:0.5,2.5:0.5"], "", id="argv1-"),
+        pytest.param(["--config", "budget2.cfg", "--paths", "20", "characterize"], ", or lower j_max",
+                     id="argv2-, or lower j_max"),
     ],
 )
 def test_atom_budget_error_names_the_budget_setting(argv, also, capsys, tmp_path, monkeypatch):

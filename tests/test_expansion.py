@@ -31,7 +31,7 @@ from pseudochaos.configurations import DEFAULT_ATOM_BUDGET, _poisson_arrays
 from pseudochaos.expansion import (
     _DEAD,
     _coefficient_table,
-    _signed_binomial_row,
+    _signed_binomial_table,
     _size_histograms,
 )
 from pseudochaos.harness import _reconstruction_flags, random_distinct_points
@@ -428,11 +428,8 @@ def test_always_accepted_atom_adds_exactly_one_to_the_size_one_sum():
     # h[s] = C(k, s); the table's weights send all of it to size 1, since
     # sum_s C(k, s) (-1)^(a-s) C(k-s, a-s) = C(k, a) (1 - 1)^a
     for k in range(DEFAULT_ATOM_BUDGET + 1):
-        per_size = [0] * (k + 1)
-        for s in range(k + 1):
-            for a, weight in enumerate(_signed_binomial_row(k - s), s):
-                per_size[a] += weight * math.comb(k, s)
-        assert per_size == [1] + [0] * k, k
+        h = np.array([math.comb(k, s) for s in range(k + 1)])
+        assert (h @ _signed_binomial_table(k)).tolist() == [1] + [0] * k, k
 
 
 @pytest.mark.parametrize(
@@ -527,6 +524,17 @@ def test_characterization_at_a_key_offset_is_pinned(params_small, rng_key, n_pat
     report = characterization_check(HawkesCount(params_small), params_small.window, 3, n_paths, rng_key)
     assert report.cumulative.n == n_paths
     assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+
+
+def test_characterization_on_the_bench_configuration_is_pinned(table_kernel):
+    # the benchmark's char operation: the 801-node table on the T = 2, M = 4
+    # window, j_max 4 and two point draws per path, over two chunks
+    window = Window(T=2.0, M=4.0)
+    params = HawkesParams(mu=1.0, kernel=table_kernel, window=window)
+    report = characterization_check(HawkesCount(params), window, 4, 700, (2801, 0), points_per_path=2)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+        "bb5f57e68dbe61eedbc721813eee406a687b5304cb28a2aa18b8853e6a814a0a"
+    )
 
 
 def test_characterization_multiple_point_draws(params_small):

@@ -1,6 +1,7 @@
 """The stacked (masks, rows, width) form of `eval_packed` against one 2-D
-call per mask set, and the characterization check against outputs pinned
-before it evaluated all masks of a chunk in one stacked sweep."""
+call per mask set, its counts under any row order, and the characterization
+check against outputs pinned before it evaluated all masks of a chunk in one
+stacked sweep."""
 import json
 import tracemalloc
 from pathlib import Path
@@ -86,6 +87,26 @@ def test_stacked_hawkes_sweep_equals_one_call_per_mask(kernel, seed, n_rows, wid
     solved = [[F(kept_configuration(times[r], marks[r], n_valid[r])) for r in range(n_rows)]
               for marks in stack]
     assert got.tolist() == solved
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_hawkes_sweep_counts_do_not_depend_on_row_order(kernel):
+    """Column i is swept up to the last row that holds atom i: rows sorted by
+    n_valid (most first) make that a tight prefix, and rows in ascending or
+    shuffled order give the same per-row counts, bit for bit."""
+    F = HawkesCount(HawkesParams(mu=1.0, kernel=KERNELS[kernel], window=WINDOW))
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        times, stack, n_valid = random_stack(rng, 12, 9, 8, F.params)
+        n_valid[-1] = 9    # a row that holds every column; row 0 holds none
+        by_count = np.argsort(-n_valid, kind="stable")
+        want_stack = F.eval_packed(times, stack, n_valid)
+        want = F.eval_packed(times, stack[0], n_valid)
+        for rows in (by_count, by_count[::-1], rng.permutation(12)):
+            got_stack = F.eval_packed(times[rows], stack[:, rows], n_valid[rows])
+            assert got_stack.tobytes() == want_stack[:, rows].tobytes()
+            got = F.eval_packed(times[rows], stack[0][rows], n_valid[rows])
+            assert got.tobytes() == want[rows].tobytes()
 
 
 @pytest.mark.parametrize(
