@@ -203,6 +203,9 @@ def conditional_residual(
     residual X_T - X_s - integral_s^T of the intensity. Estimates are
     per-prefix means, so the standard error is taken over independent
     prefixes."""
+    for name, value in (("n_prefixes", n_prefixes), ("n_continuations", n_continuations)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     _require_uncensored_window(params)
     seed, base_index = rng_key
     T, M = params.window.T, params.window.M

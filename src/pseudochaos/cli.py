@@ -131,6 +131,8 @@ def _load_config(ns) -> tuple[RunConfig, HawkesParams]:
     params = validate_config(cfg)
     if ns.seed is not None:
         cfg.seed = ns.seed
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if ns.paths is not None:
         cfg.n_paths = ns.paths
     return cfg, params

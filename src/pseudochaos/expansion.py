@@ -29,15 +29,12 @@ from .configurations import (
     Window,
 )
 from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows
-from .malliavin import Functional, iterated_difference
+from .malliavin import Functional, _masked_differences, iterated_difference
 from .mc import MCEstimate, RngKey, _map_paths, rng_from_key
 
 # paths are sampled per chunk of this size so the batch evaluator can
 # vectorize; the chunk grid is part of the deterministic sampling layout
 _CHUNK = 512
-# masks per stacked eval_packed call in the characterization check: j_max <= 4
-# takes one call per chunk, and a larger j_max holds no more marks at once
-_MASK_BLOCK = 16
 # masks per np.bincount call in the subset table's size histogram: a block's
 # accepted sizes, cast to intp, take at most 512 KiB
 _HIST_BLOCK = 1 << 16
@@ -288,19 +285,14 @@ def _characterization_chunk(
     "diffs", shape (j_max, m), whose row j - 1 is D^j F at the first j of j_max
     points, averaged over points_per_path uniform draws of them (or at the given
     points, time-sorted arrays (times, marks)), and F's samples "ref", shape (m,).
-
-    Once every draw is made, the paths are evaluated in order of atom count,
-    most first, which is the row order `HawkesCount.eval_packed` sweeps
-    fastest; any functional gives the same values in any row order, and the
-    samples are put back in path order before the mean over point draws."""
+    Every draw is made first; `_masked_differences` then evaluates one row per
+    path and point draw."""
     m = stop - start
     T, M = window.T, window.M
-    n_masks = 1 << j_max
     rng = rng_from_key((seed, start // _CHUNK))
 
     counts = rng.poisson(window.area, size=m)
     w_base = int(counts.max()) if m else 0
-    width = w_base + j_max
     base_t = rng.uniform(0.0, T, size=(m, w_base))
     base_th = rng.uniform(0.0, M, size=(m, w_base))
     q = points_per_path
@@ -309,57 +301,13 @@ def _characterization_chunk(
         pts_th = rng.uniform(0.0, M, size=(m, q, j_max))
     else:
         pts_t, pts_th = (np.broadcast_to(a, (m, q, j_max)) for a in points)
-    # most atoms first, so the rows that hold atom i are a prefix
-    by_count = np.argsort(-counts, kind="stable")
-    counts, base_t, base_th, pts_t, pts_th = (
-        a[by_count] for a in (counts, base_t, base_th, pts_t, pts_th)
+    diffs, ref = _masked_differences(
+        F,
+        *(np.repeat(a, q, axis=0) for a in (base_t, base_th, counts)),
+        pts_t.reshape(m * q, j_max),
+        pts_th.reshape(m * q, j_max),
     )
-    pad = np.arange(w_base) >= counts[:, None]
-    # pads sort past every real atom and point and can never be accepted; a
-    # point past T or M is legal: no functional accepts an atom outside its window
-    base_t[pad] = max(T, pts_t.max()) + 1.0 + np.broadcast_to(np.arange(w_base), (m, w_base))[pad]
-    base_th[pad] = np.inf
-
-    full_t = np.concatenate(
-        [np.repeat(base_t[:, None, :], q, axis=1), pts_t], axis=2
-    )
-    full_th = np.concatenate(
-        [np.repeat(base_th[:, None, :], q, axis=1), pts_th], axis=2
-    )
-    order = np.argsort(full_t, axis=2, kind="stable")
-    full_t = np.take_along_axis(full_t, order, axis=2)
-    full_th = np.take_along_axis(full_th, order, axis=2)
-    point_id = np.where(order >= w_base, order - w_base, -1)
-
-    n_valid = np.broadcast_to((counts + j_max)[:, None], (m, q))
-    flat_t = full_t.reshape(m * q, width)
-    flat_valid = n_valid.reshape(m * q)
-    # the stacked marks are built atom-major, (width, masks, rows), the layout
-    # the Hawkes sweep runs in, so its transpose of them is a view, not a copy
-    ids = np.ascontiguousarray(point_id.reshape(m * q, width).T)[:, None, :]
-    th = np.ascontiguousarray(full_th.reshape(m * q, width).T)[:, None, :]
-    # the bit tests run on the smallest unsigned type that holds every mask,
-    # so their temporaries are a fraction of the marks' size
-    shift = np.maximum(ids, 0).astype(np.min_scalar_type(j_max))
-    mask_type = np.min_scalar_type(n_masks - 1)
-    diff = np.zeros((j_max, m * q))
-    for lo in range(0, n_masks, _MASK_BLOCK):
-        masks = range(lo, min(lo + _MASK_BLOCK, n_masks))
-        # bit k of a mask keeps point k; base atoms are always kept
-        keep = (ids < 0) | (np.array(masks, dtype=mask_type)[:, None] >> shift & 1 == 1)
-        # a temporary, so one block's marks are freed before the next is built
-        values = F.eval_packed(flat_t, np.where(keep, th, np.inf).transpose(1, 2, 0), flat_valid)
-        if lo == 0:
-            ref = values[0].reshape(m, q)[:, 0]
-        for mask, row in zip(masks, values):
-            # a mask enters the sum of every order j that holds its points,
-            # with sign (-1)^(j - popcount)
-            first = max(mask.bit_length(), 1)
-            signs = (-1.0) ** (np.arange(first, j_max + 1) - mask.bit_count())
-            diff[first - 1 :] += signs[:, None] * row
-    # back to path order before the mean over the point draws
-    unsort = np.argsort(by_count)
-    return {"diffs": diff.reshape(j_max, m, q)[:, unsort].mean(axis=2), "ref": ref[unsort]}
+    return {"diffs": diffs.reshape(j_max, m, q).mean(axis=2), "ref": ref.reshape(m, q)[:, 0]}
 
 
 def _require_characterization_args(j_max: int, n_paths: int, points_per_path: int, budget: int) -> None:
@@ -408,12 +356,11 @@ def characterization_check(
 
     Paths are drawn in chunks of _CHUNK, chunk c from the key
     (seed, base_index + c). Each chunk evaluates F under all 2**j_max masks
-    of its inserted points, _MASK_BLOCK masks per `eval_packed` call on a
-    stacked (masks, rows, width) mark array, so memory stays at
-    _MASK_BLOCK x rows x width floats whatever j_max is. Term j is the signed
-    sum over the masks below 2**j, each with sign (-1)^(j - popcount), added
-    in mask order. j_max counts the inserted points, so it may not exceed
-    budget.
+    of its inserted points with `_masked_differences`, in blocks of masks
+    per `eval_packed` call, so memory does not grow with j_max. Term j is the
+    signed sum over the masks below 2**j, each with sign (-1)^(j - popcount),
+    added in mask order. j_max counts the inserted points, so it may not
+    exceed budget.
 
     Point draws nested in j share configuration evaluations; standard errors
     are computed over per-path averages, so multiple point draws per path stay

@@ -10,6 +10,7 @@ which is symmetric in the points and satisfies D^n = D(D^(n-1)).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,10 +25,14 @@ from .configurations import (
     Point,
     TimeCollisionError,
     Window,
+    _poisson_arrays,
     add_points,
-    sample_poisson,
 )
-from .mc import MCEstimate, RngKey, rng_from_key
+from .mc import MCEstimate, RngKey, _map_paths, rng_from_key
+
+# masks per stacked eval_packed call in `_masked_differences`: four inserted
+# points take one call, and more points hold no more marks at once
+_MASK_BLOCK = 16
 
 
 class Functional:
@@ -52,11 +57,12 @@ class Functional:
         out = np.empty(len(times))
         for r in range(len(times)):
             nv = int(n_valid[r])
-            atoms = tuple(
-                Point(float(t), float(th))
-                for t, th in zip(times[r, :nv], marks[r, :nv])
-                if np.isfinite(th) and self.window.contains(Point(float(t), float(th)))
+            points = (
+                Point(t, th)
+                for t, th in zip(times[r, :nv].tolist(), marks[r, :nv].tolist())
+                if math.isfinite(th)
             )
+            atoms = tuple(p for p in points if self.window.contains(p))
             out[r] = self(Configuration(window=self.window, atoms=atoms))
         return out
 
@@ -150,23 +156,95 @@ class IppCheck:
     diff: MCEstimate  # per-path lhs - rhs, sharing the same samples
 
 
+def _masked_differences(
+    F: Functional,
+    times: np.ndarray,
+    marks: np.ndarray,
+    counts: np.ndarray,
+    pts_t: np.ndarray,
+    pts_th: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """F's signed sums over inserted points, on a batch of rows. Row r holds
+    the counts[r] base atoms times[r, :counts[r]], marks[r, :counts[r]], in
+    any order (the padding past them is ignored), and the j inserted points
+    pts_t[r], pts_th[r]. Returns (diffs, ref), both in the given row order:
+    diffs, shape (j, rows), whose row i - 1 is D^i F at the first i points,
+    and ref, shape (rows,), F with no point kept.
+
+    Each row's atoms and points are merged by time, and the rows are
+    evaluated in order of atom count, most first, the order
+    `HawkesCount.eval_packed` sweeps fastest; F gives the same values in any
+    row order. F runs under all 2**j masks of the points, _MASK_BLOCK masks
+    per `eval_packed` call on a stacked (masks, rows, width) mark array, so
+    memory stays at _MASK_BLOCK x rows x width floats whatever j is. D^i F is
+    the signed sum over the masks below 2**i, each with sign
+    (-1)^(i - popcount), added in mask order."""
+    n_rows, j = pts_t.shape
+    n_masks = 1 << j
+    # most atoms first, so the rows that hold atom i are a prefix
+    by_count = np.argsort(-counts, kind="stable")
+    counts, times, marks, pts_t, pts_th = (
+        a[by_count] for a in (counts, times, marks, pts_t, pts_th)
+    )
+    w_base = times.shape[1]
+    pad = np.arange(w_base) >= counts[:, None]
+    # pads sort past every atom and point and can never be accepted; a point
+    # outside F's window is legal: no functional accepts an atom outside it
+    top = max(times.max(initial=0.0), pts_t.max(initial=0.0))
+    times[pad] = top + 1.0 + np.broadcast_to(np.arange(w_base), times.shape)[pad]
+    marks[pad] = np.inf
+
+    full_t = np.concatenate([times, pts_t], axis=1)
+    order = np.argsort(full_t, axis=1, kind="stable")
+    full_t = np.take_along_axis(full_t, order, axis=1)
+    full_th = np.take_along_axis(np.concatenate([marks, pts_th], axis=1), order, axis=1)
+    n_valid = counts + j
+    # the stacked marks are built atom-major, (width, masks, rows), the layout
+    # the Hawkes sweep runs in, so its transpose of them is a view, not a copy
+    ids = np.ascontiguousarray(np.where(order >= w_base, order - w_base, -1).T)[:, None, :]
+    th = np.ascontiguousarray(full_th.T)[:, None, :]
+    # the bit tests run on the smallest unsigned type that holds every mask,
+    # so their temporaries are a fraction of the marks' size
+    shift = np.maximum(ids, 0).astype(np.min_scalar_type(j))
+    mask_type = np.min_scalar_type(n_masks - 1)
+    diff = np.zeros((j, n_rows))
+    for lo in range(0, n_masks, _MASK_BLOCK):
+        masks = range(lo, min(lo + _MASK_BLOCK, n_masks))
+        # bit k of a mask keeps point k; base atoms are always kept
+        keep = (ids < 0) | (np.array(masks, dtype=mask_type)[:, None] >> shift & 1 == 1)
+        # a temporary, so one block's marks are freed before the next is built
+        values = F.eval_packed(full_t, np.where(keep, th, np.inf).transpose(1, 2, 0), n_valid)
+        if lo == 0:
+            ref = values[0]
+        for mask, row in zip(masks, values):
+            # a mask enters the sum of every order i that holds its points,
+            # with sign (-1)^(i - popcount)
+            first = max(mask.bit_length(), 1)
+            signs = (-1.0) ** (np.arange(first, j + 1) - mask.bit_count())
+            diff[first - 1 :] += signs[:, None] * row
+    unsort = np.argsort(by_count)
+    return diff[:, unsort], ref[unsort]
+
+
 def _ipp_paths(F: Functional, window: Window, seed: int, start: int, stop: int) -> dict:
     """Per path p in [start, stop), on key (seed, p): the samples area * D_X F
-    and F * (N(window) - area), X uniform on the window at a time no atom has."""
-    area = window.area
-    lhs = np.empty(stop - start)
-    rhs = np.empty(stop - start)
+    and F * (N(window) - area), X uniform on the window at a time no atom has
+    (redrawn, time then mark, until it is)."""
+    all_t, all_th, x = [], [], np.empty((stop - start, 2))
     for i, p in enumerate(range(start, stop)):
         rng = rng_from_key((seed, p))
-        omega = sample_poisson(window, rng=rng)
-        while True:
-            x = Point(float(rng.uniform(0.0, window.T)), float(rng.uniform(0.0, window.M)))
-            if x.t not in {a.t for a in omega.atoms}:
-                break
-        f_omega = F(omega)
-        lhs[i] = area * (F(add_points(omega, [x])) - f_omega)
-        rhs[i] = f_omega * (len(omega) - area)
-    return {"lhs": lhs, "rhs": rhs}
+        times, marks = _poisson_arrays(window, rng)
+        x[i] = rng.uniform(0.0, window.T), rng.uniform(0.0, window.M)
+        while (times == x[i, 0]).any():
+            x[i] = rng.uniform(0.0, window.T), rng.uniform(0.0, window.M)
+        all_t.append(times)
+        all_th.append(marks)
+    counts = np.array([len(times) for times in all_t])
+    valid = np.arange(counts.max()) < counts[:, None]
+    base_t, base_th = np.zeros((2, *valid.shape))
+    base_t[valid], base_th[valid] = np.concatenate(all_t), np.concatenate(all_th)
+    diffs, ref = _masked_differences(F, base_t, base_th, counts, x[:, :1], x[:, 1:])
+    return {"lhs": window.area * diffs[0], "rhs": ref * (counts - window.area)}
 
 
 def _ipp_check(paths: dict, seed: int) -> IppCheck:
@@ -188,6 +266,10 @@ def ipp_check_order1(
     """Monte Carlo check of first-order integration by parts with the window
     indicator as integrand: the expected first difference integrated over the
     window equals E[F * (N(window) - area)]. Path p draws from the key
-    (seed, base_index + p)."""
+    (seed, base_index + p), and the paths are evaluated 256 at a time by
+    `_masked_differences`, the masks without and with X."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     seed, base_index = rng_key
-    return _ipp_check(_ipp_paths(F, window, seed, base_index, base_index + n_paths), seed)
+    loop = functools.partial(_ipp_paths, F, window)
+    return _ipp_check(_map_paths(loop, seed, base_index, base_index + n_paths), seed)

@@ -260,6 +260,16 @@ def test_conditional_residual_is_pinned(params_default):
     assert (est.n, est.mean, est.se) == (500, 0.044991855582607584, 0.0824487130779023)
 
 
+@pytest.mark.parametrize(
+    "n_prefixes, n_continuations, named",
+    [(0, 8, "n_prefixes must be >= 1, got 0"), (-1, 8, "n_prefixes must be >= 1, got -1"),
+     (2, 0, "n_continuations must be >= 1, got 0"), (2, -3, "n_continuations must be >= 1, got -3")],
+)
+def test_conditional_residual_refuses_empty_samples(params_default, n_prefixes, n_continuations, named):
+    with pytest.raises(ValueError, match=named):
+        conditional_residual(params_default, n_prefixes, n_continuations, (1, 0))
+
+
 def test_histogram_zero_kernel_only_unit_jumps(zero_kernel):
     params = HawkesParams(mu=1.0, kernel=zero_kernel, window=Window(T=5.0, M=4.0))
     hist = jump_size_histogram(params, 500, (418, 0))

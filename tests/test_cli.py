@@ -272,6 +272,7 @@ BAD_INPUT_FILES = {
     "h_1e-300.cfg": VALID + "h = 1e-300\n",
     "h_1e-320.cfg": VALID + "h = 1e-320\n",
     "huge_T.cfg": VALID.replace("T = 5", "T = 1e15"),
+    "negative_seed.cfg": VALID.replace("seed = 7", "seed = -1"),
 }
 
 
@@ -305,6 +306,9 @@ BAD_INPUT_FILES = {
         pytest.param(["--config", "h_1e-320.cfg", "expect"], id="argv19"),
         *(pytest.param(["--config", "huge_T.cfg", command], id=f"argv{i}")
           for i, command in enumerate(("simulate", "expect", "branching", "characterize", "ipp"), 20)),
+        pytest.param(["--seed", "-1", "--paths", "5", "simulate"], id="negative_seed"),
+        pytest.param(["--config", "negative_seed.cfg", "coeff", "--random", "2"],
+                     id="negative_seed_in_config"),
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -364,8 +368,12 @@ def test_single_path_prints_missing_se(command, capsys):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["--paths", "1", "ipp"], "n_paths must be >= 2"),
-        (["coeff", "--random", "2", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+        # explicit ids, the positional ones the first two cases had
+        pytest.param(["--paths", "1", "ipp"], "n_paths must be >= 2", id="argv0-n_paths must be >= 2"),
+        pytest.param(["coeff", "--random", "2", "--k-max", "0"], "--k-max must be >= 1, got 0",
+                     id="argv1---k-max must be >= 1, got 0"),
+        pytest.param(["--seed", "-1", "--paths", "5", "simulate"], "seed must be >= 0, got -1",
+                     id="negative_seed"),
     ],
 )
 def test_usage_error_names_the_setting(argv, named, capsys):

@@ -24,8 +24,11 @@ from pseudochaos import (
     ipp_check_order1,
     iterated_difference,
     run_experiment,
+    add_points,
     sample_poisson,
 )
+from pseudochaos.malliavin import IppCheck, _ipp_paths
+from pseudochaos.mc import MCEstimate, rng_from_key
 
 W3 = Window(T=3.0, M=2.0)
 
@@ -200,3 +203,65 @@ def test_ipp_check_at_a_key_offset_is_pinned(params_default):
     assert hashlib.sha256(repr(check).encode()).hexdigest() == (
         "896615810e38b4164ff7a9bef5e7ce75d4c9fb7605a883ed24c04b868de73a0c"
     )
+
+
+def per_path_ipp(F, window, n_paths, rng_key):
+    """The IPP samples as a loop over paths: path p draws omega and x from
+    the key (seed, base + p), x redrawn while its time hits an atom's, and
+    evaluates F(omega) and F(omega + x) one configuration at a time."""
+    seed, base = rng_key
+    lhs, rhs = np.empty(n_paths), np.empty(n_paths)
+    for i in range(n_paths):
+        rng = rng_from_key((seed, base + i))
+        omega = sample_poisson(window, rng=rng)
+        while True:
+            x = Point(float(rng.uniform(0.0, window.T)), float(rng.uniform(0.0, window.M)))
+            if x.t not in {a.t for a in omega.atoms}:
+                break
+        f_omega = F(omega)
+        lhs[i] = window.area * (F(add_points(omega, [x])) - f_omega)
+        rhs[i] = f_omega * (len(omega) - window.area)
+    return lhs, rhs
+
+
+SAMPLED = Window(T=3.0, M=2.5)
+SMALLER = Window(T=2.0, M=1.5)   # F ignores the sampled atoms outside it
+
+
+@pytest.mark.parametrize("rng_key", [(6001, 0), (4242, 37)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda k: HawkesCount(HawkesParams(mu=1.0, kernel=k["exp"], window=SAMPLED)),
+        lambda k: HawkesCount(HawkesParams(mu=1.0, kernel=k["table"], window=SAMPLED)),
+        lambda k: RectangleCount(SAMPLED),
+        lambda k: ConstantFunctional(3.0, SAMPLED),
+        lambda k: CallableFunctional(len, SAMPLED),
+        lambda k: HawkesCount(HawkesParams(mu=1.0, kernel=k["exp"], window=SMALLER)),
+        lambda k: HawkesCount(HawkesParams(mu=1.0, kernel=k["table"], window=SMALLER)),
+        lambda k: RectangleCount(SMALLER),
+        lambda k: CallableFunctional(len, SMALLER),
+    ],
+    ids=["hawkes_exp", "hawkes_table", "rectangle", "constant", "callable_len",
+         "hawkes_exp_smaller", "hawkes_table_smaller", "rectangle_smaller", "callable_len_smaller"],
+)
+def test_ipp_matches_the_per_path_loop_bit_for_bit(make, rng_key, exp_kernel, table_kernel):
+    """600 paths cross two 256-path runner chunks; the stacked sweep over the
+    masks without and with x gives every sample of the per-path loop."""
+    F = make({"exp": exp_kernel, "table": table_kernel})
+    seed, base = rng_key
+    lhs, rhs = per_path_ipp(F, SAMPLED, 600, rng_key)
+    paths = _ipp_paths(F, SAMPLED, seed, base, base + 600)
+    assert paths["lhs"].tobytes() == lhs.tobytes()
+    assert paths["rhs"].tobytes() == rhs.tobytes()
+    assert ipp_check_order1(F, SAMPLED, 600, rng_key) == IppCheck(
+        lhs=MCEstimate.from_samples(lhs, seed=seed),
+        rhs=MCEstimate.from_samples(rhs, seed=seed),
+        diff=MCEstimate.from_samples(lhs - rhs, seed=seed),
+    )
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_ipp_check_refuses_fewer_than_one_path(n_paths):
+    with pytest.raises(ValueError, match=f"n_paths must be >= 1, got {n_paths}"):
+        ipp_check_order1(RectangleCount(W3), W3, n_paths, (7, 0))
