@@ -91,6 +91,8 @@ def validate_config(cfg: RunConfig) -> HawkesParams:
     here, once."""
     if cfg.mu <= 0.0:
         raise ConfigError(f"mu must be > 0, got {cfg.mu}")
+    if cfg.budget < 0:
+        raise ConfigError(f"budget must be >= 0, got {cfg.budget}")
     if cfg.thinning not in ("capped", "exact"):
         raise ConfigError(f"thinning must be 'capped' or 'exact', got {cfg.thinning!r}")
     try:

@@ -150,6 +150,17 @@ def _poisson_arrays(window: Window, rng: np.random.Generator) -> tuple[np.ndarra
     return times, marks
 
 
+def _pad_rows(times: list[np.ndarray], marks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row arrays as one padded batch (times, marks, counts): row r holds
+    the counts[r] atoms of times[r] and marks[r], then zeros."""
+    counts = np.array([len(t) for t in times], dtype=np.int64)
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    padded_t, padded_th = np.zeros((2, *valid.shape))
+    if valid.size:
+        padded_t[valid], padded_th[valid] = np.concatenate(times), np.concatenate(marks)
+    return padded_t, padded_th, counts
+
+
 def add_points(config: Configuration, extra: Iterable[Point]) -> Configuration:
     """Insert atoms into a configuration, keeping time order.
 

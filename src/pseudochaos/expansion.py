@@ -28,7 +28,7 @@ from .configurations import (
     TimeCollisionError,
     Window,
 )
-from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows
+from .hawkes import HawkesCount, HawkesParams, _intensity, _lag_rows, _packed_sweep
 from .malliavin import Functional, _masked_differences, iterated_difference
 from .mc import MCEstimate, RngKey, _map_paths, rng_from_key
 
@@ -38,6 +38,9 @@ _CHUNK = 512
 # masks per np.bincount call in the subset table's size histogram: a block's
 # accepted sizes, cast to intp, take at most 512 KiB
 _HIST_BLOCK = 1 << 16
+# masks the subset tables of one group of rows in `_packed_coefficient_tables`
+# hold at once: the table of one all-live configuration at the default budget
+_TABLE_MASKS = 1 << (DEFAULT_ATOM_BUDGET - 1)
 
 
 def _validate_points(window: Window | None, points: Sequence[Point]) -> list[Point]:
@@ -230,6 +233,108 @@ def _coefficient_table(
         for a, term in enumerate((h @ _signed_binomial_table(k)).tolist()):
             per_size[a] += term
     return per_size, events
+
+
+def _packed_coefficient_tables(
+    params: HawkesParams, times: np.ndarray, marks: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_coefficient_table` of every row of a padded batch: row r holds the
+    counts[r] time-sorted atoms times[r, :counts[r]], marks[r, :counts[r]],
+    all inside params.window.
+    Returns (per_size, events) in the given row order: per_size, int64 of
+    shape (rows, width), whose entry [r, a] is row r's sum of c_k over its
+    size-(a + 1) atom subsets, and events, each row's event count.
+
+    One `_packed_sweep` over the rows, most atoms first, finds the live atoms,
+    the ones solve_path accepts. The tables are then built by live level
+    across the batch: a row's q-th live atom has q live predecessors, so
+    levels q = 0, 1, ... in turn meet every dependency. At level q the rows
+    whose q-th live atom is undecided (mark above mu) take one kernel call for
+    their q lags; `_intensity`'s one-term doubling fills their intensities
+    over the 2**q masks of the predecessors; one np.bincount over (row, mask
+    size) gives each row's histogram h, and h @ `_signed_binomial_table(q)`
+    its per-size sums. An always-accepted atom adds 1 to the size-1 sum and
+    builds no table; it is accepted on every mask. Each row keeps its
+    indicators in one table row, level q's in columns [2**q, 2**(q+1)),
+    which are the columns its level-q doubling step writes. Lags, sums and
+    indicators are those of `_size_histograms`, bit for bit.
+
+    The rows with a table go in groups, by last undecided level, highest
+    first, so that a group's tables hold at most _TABLE_MASKS masks (a row
+    whose last undecided level is above log2(_TABLE_MASKS), possible only over
+    the default budget, is a group of its own)."""
+    n_rows, width = times.shape
+    by_count = np.argsort(-counts, kind="stable")
+    times, marks, counts = times[by_count], marks[by_count], counts[by_count]
+    live = _packed_sweep(params, times, marks[None], counts)[:, 0, :].T
+    events = live.sum(axis=1)
+    # each row's live atoms, packed to the left in time order
+    rows_of, cols = np.nonzero(live)
+    level = np.arange(len(rows_of)) - np.repeat(np.cumsum(events) - events, events)
+    n_levels = int(events.max(initial=0))
+    live_t, live_th = np.zeros((2, n_rows, n_levels))
+    live_t[rows_of, level], live_th[rows_of, level] = times[rows_of, cols], marks[rows_of, cols]
+    mu = float(params.mu)
+    undecided = (live_th > mu) & (np.arange(n_levels) < events[:, None])
+
+    per_size = np.zeros((n_rows, width), dtype=np.int64)
+    per_size[:, :1] = (events - undecided.sum(axis=1))[:, None]
+    # each row's last undecided level, -1 if it has none
+    last = np.where(undecided, np.arange(n_levels), -1).max(axis=1, initial=-1)
+    tabled = np.argsort(-last, kind="stable")[: np.count_nonzero(last >= 0)]
+    highest = int(last.max(initial=0))
+    sizes = np.zeros(1 << highest, dtype=np.uint8)   # popcount of every mask
+    for q in range(highest):
+        np.add(sizes[: 1 << q], 1, out=sizes[1 << q : 2 << q])
+    lo = 0
+    while lo < len(tabled):
+        top = int(last[tabled[lo]])
+        group = tabled[lo : lo + max(_TABLE_MASKS >> top, 1)]
+        lo += len(group)
+        table = np.empty((len(group), 1 << top), dtype=bool)
+        for q in range(top + 1):
+            n = 1 << q
+            # rows whose last undecided level is q or above: a prefix of the group
+            held = group[: np.count_nonzero(last[group] >= q)]
+            sel = np.flatnonzero(undecided[held, q])
+            if q < top:
+                table[np.flatnonzero(~undecided[held, q]), n : 2 * n] = True
+            if not sel.size:
+                continue
+            rows = held[sel]
+            lam = np.empty((len(rows), n))
+            lam[:, 0] = mu
+            if q:
+                lags = params.kernel._eval(np.maximum(live_t[rows, q, None] - live_t[rows, :q], 0.0))
+                # a copy only if some rows of the group sit this level out
+                prev = table[:, :n] if len(sel) == len(table) else table[sel, :n]
+                for p in range(q):
+                    m = 1 << p
+                    _intensity(lam[:, :m], (lags[:, p, None],), (prev[:, m : 2 * m],), out=lam[:, m : 2 * m])
+                del prev
+            ind = live_th[rows, q, None] <= lam
+            del lam
+            if q < top:
+                table[sel, n : 2 * n] = ind
+            per_size[rows, : q + 1] += _size_counts(ind, sizes[:n], q) @ _signed_binomial_table(q)
+            del ind   # before the next level's intensities are allocated
+    unsort = np.argsort(by_count)
+    return per_size[unsort], events[unsort]
+
+
+def _size_counts(ind: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """h[r, s], the number of masks m with ind[r, m] and sizes[m] == s, for
+    s = 0..k: one np.bincount over the keys r * (k + 1) + sizes[m], in column
+    blocks of about _HIST_BLOCK entries, so its cast of the keys to intp never
+    spans the table."""
+    n_rows, n = ind.shape
+    offsets = np.arange(0, n_rows * (k + 1), k + 1)[:, None]
+    h = np.zeros(n_rows * (k + 1), dtype=np.int64)
+    step = max(_HIST_BLOCK // n_rows, 1)
+    for lo in range(0, n, step):
+        keys = offsets + sizes[lo : lo + step]
+        h += np.bincount(keys[ind[:, lo : lo + step]], minlength=len(h))
+    return h.reshape(n_rows, k + 1)
 
 
 def reconstruct(

@@ -16,6 +16,7 @@ from .configurations import (
     DEFAULT_ATOM_BUDGET,
     Point,
     Window,
+    _pad_rows,
     _poisson_arrays,
     _write_rows,
     sample_poisson,
@@ -86,6 +87,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown functional {self.functional!r}; pick from {tuple(IPP_FUNCTIONALS)}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,17 @@ def reconstruction_audit(
 ) -> AuditResult:
     """Per path, rebuild the event count from the expansion and tally exact
     matches; paths beyond the enumeration budget are skipped, not failed.
-    Each path is drawn as `sample_poisson`'s time and mark arrays and goes
-    straight to the subset table: no Point or Configuration is built."""
+    Path p draws on the key (seed, base_index + p) as `sample_poisson`'s time
+    and mark arrays, with no Point or Configuration built. The paths run
+    through `mc._map_paths` 256 at a time, as in `run_experiment`, and each
+    chunk's paths within budget go through one packed pass,
+    `expansion._packed_coefficient_tables`: one thinning sweep, then the
+    subset tables level by level across the chunk."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     seed, base_index = rng_key
-    return _tally(_reconstruction_flags(params, budget, seed, base_index, base_index + n_paths))
+    loop = functools.partial(_reconstruction_flags, params, budget)
+    return _tally(_map_paths(loop, seed, base_index, base_index + n_paths))
 
 
 def _reconstruction_flags(
@@ -122,14 +132,13 @@ def _reconstruction_flags(
 ) -> np.ndarray:
     """Per path p in [start, stop), on key (seed, p): 1 if the expansion
     rebuilds the event count exactly, 0 if not, -1 if over the atom budget."""
-    flags = np.empty(stop - start, dtype=np.int64)
-    for i, p in enumerate(range(start, stop)):
-        times, marks = _poisson_arrays(params.window, rng_from_key((seed, p)))
-        if len(times) > budget:
-            flags[i] = -1
-        else:
-            per_size, event_count = expansion._coefficient_table(params, times, marks)
-            flags[i] = sum(per_size) == event_count
+    draws = [_poisson_arrays(params.window, rng_from_key((seed, p))) for p in range(start, stop)]
+    within = np.array([len(times) <= budget for times, _ in draws], dtype=bool)
+    kept = [draw for draw, ok in zip(draws, within) if ok]
+    times, marks, counts = _pad_rows([t for t, _ in kept], [th for _, th in kept])
+    per_size, events = expansion._packed_coefficient_tables(params, times, marks, counts)
+    flags = np.full(stop - start, -1, dtype=np.int64)
+    flags[within] = per_size.sum(axis=1) == events
     return flags
 
 

@@ -212,32 +212,42 @@ class HawkesCount(Functional):
 
     def eval_packed(self, times, marks, n_valid):
         """Vectorized sweep across a padded batch, for one set of marks or a
-        stack of them over the same times (see `Functional.eval_packed`).
-        Rows must be time sorted; marks of +inf disable an atom. The sweep
-        runs atom-major, on (width, masks, rows) arrays: each atom column's
-        lags take one kernel call and serve every mask, and `_intensity` adds
-        up the intensities, each predecessor's (masks, rows) batch contiguous.
-        Marks laid out in that order in memory (a transposed view) are not
-        copied.
-
-        Column i is swept only over the rows up to the last one that holds
-        atom i (n_valid > i); no later row can accept it. Rows in any order
-        give the same counts, and rows sorted by n_valid, most first, are the
-        fastest: every column then sweeps just the rows that hold it."""
-        mu, kernel = self.params.mu, self.params.kernel
+        stack of them over the same times (see `Functional.eval_packed`): the
+        count of the atoms `_packed_sweep` accepts. Rows must be time sorted;
+        marks of +inf disable an atom. Rows in any order give the same counts,
+        and rows sorted by n_valid, most first, are the fastest."""
         stacked = marks.ndim == 3
-        times = np.ascontiguousarray(times.T)
-        marks = np.ascontiguousarray(np.moveaxis(marks if stacked else marks[None], -1, 0))
-        width, n_valid = times.shape[0], np.asarray(n_valid)
-        inside = (times <= self.window.T) & (np.arange(width)[:, None] < n_valid)
-        # held[r]: the most atoms any row from r on holds
-        held = np.maximum.accumulate(n_valid[::-1])[::-1]
-        accepted = np.zeros(marks.shape, dtype=bool)
-        for i in range(width):
-            r = int(np.count_nonzero(held > i))
-            vals = kernel._eval(np.maximum(times[i, :r] - times[:i, :r], 0.0)) if i else ()
-            lam = _intensity(mu, vals, accepted[:i, :, :r])
-            m_i = marks[i, :, :r]
-            accepted[i, :, :r] = inside[i, :r] & (m_i <= self.window.M) & (m_i <= lam)
+        accepted = _packed_sweep(self.params, times, marks if stacked else marks[None], n_valid)
         counts = accepted.sum(axis=0).astype(float)
         return counts if stacked else counts[0]
+
+
+def _packed_sweep(params: HawkesParams, times: np.ndarray, marks: np.ndarray, n_valid) -> np.ndarray:
+    """The thinning sweep on a padded batch: times (rows, width), time sorted
+    per row, a stack of mark sets (masks, rows, width) over them (+inf
+    disables an atom), and n_valid[r] atoms in row r. Returns the accepted
+    atoms, a bool array (width, masks, rows); an atom outside params.window is
+    never accepted.
+
+    The sweep runs atom-major, on (width, masks, rows) arrays: each atom
+    column's lags take one kernel call and serve every mask, and `_intensity`
+    adds up the intensities, each predecessor's (masks, rows) batch
+    contiguous. Marks laid out in that order in memory (a transposed view) are
+    not copied. Column i is swept only over the rows up to the last one that
+    holds atom i (n_valid > i); no later row can accept it, so rows sorted by
+    n_valid, most first, sweep just the rows that hold each column."""
+    mu, kernel, window = params.mu, params.kernel, params.window
+    times = np.ascontiguousarray(times.T)
+    marks = np.ascontiguousarray(np.moveaxis(marks, -1, 0))
+    width, n_valid = times.shape[0], np.asarray(n_valid)
+    inside = (times <= window.T) & (np.arange(width)[:, None] < n_valid)
+    # held[r]: the most atoms any row from r on holds
+    held = np.maximum.accumulate(n_valid[::-1])[::-1]
+    accepted = np.zeros(marks.shape, dtype=bool)
+    for i in range(width):
+        r = int(np.count_nonzero(held > i))
+        vals = kernel._eval(np.maximum(times[i, :r] - times[:i, :r], 0.0)) if i else ()
+        lam = _intensity(mu, vals, accepted[:i, :, :r])
+        m_i = marks[i, :, :r]
+        accepted[i, :, :r] = inside[i, :r] & (m_i <= window.M) & (m_i <= lam)
+    return accepted

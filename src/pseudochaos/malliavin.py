@@ -25,6 +25,7 @@ from .configurations import (
     Point,
     TimeCollisionError,
     Window,
+    _pad_rows,
     _poisson_arrays,
     add_points,
 )
@@ -239,10 +240,7 @@ def _ipp_paths(F: Functional, window: Window, seed: int, start: int, stop: int) 
             x[i] = rng.uniform(0.0, window.T), rng.uniform(0.0, window.M)
         all_t.append(times)
         all_th.append(marks)
-    counts = np.array([len(times) for times in all_t])
-    valid = np.arange(counts.max()) < counts[:, None]
-    base_t, base_th = np.zeros((2, *valid.shape))
-    base_t[valid], base_th[valid] = np.concatenate(all_t), np.concatenate(all_th)
+    base_t, base_th, counts = _pad_rows(all_t, all_th)
     diffs, ref = _masked_differences(F, base_t, base_th, counts, x[:, :1], x[:, 1:])
     return {"lhs": window.area * diffs[0], "rhs": ref * (counts - window.area)}
 

@@ -273,6 +273,7 @@ BAD_INPUT_FILES = {
     "h_1e-320.cfg": VALID + "h = 1e-320\n",
     "huge_T.cfg": VALID.replace("T = 5", "T = 1e15"),
     "negative_seed.cfg": VALID.replace("seed = 7", "seed = -1"),
+    "negative_budget.cfg": VALID + "budget = -1\n",
 }
 
 
@@ -309,6 +310,8 @@ BAD_INPUT_FILES = {
         pytest.param(["--seed", "-1", "--paths", "5", "simulate"], id="negative_seed"),
         pytest.param(["--config", "negative_seed.cfg", "coeff", "--random", "2"],
                      id="negative_seed_in_config"),
+        pytest.param(["--config", "negative_budget.cfg", "coeff", "--points", "0.5:0.5"],
+                     id="negative_budget"),
     ],
 )
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path, monkeypatch):
@@ -374,9 +377,14 @@ def test_single_path_prints_missing_se(command, capsys):
                      id="argv1---k-max must be >= 1, got 0"),
         pytest.param(["--seed", "-1", "--paths", "5", "simulate"], "seed must be >= 0, got -1",
                      id="negative_seed"),
+        pytest.param(["--config", "negative_budget.cfg", "coeff", "--points", "0.5:0.5"],
+                     "budget must be >= 0, got -1", id="negative_budget"),
     ],
 )
-def test_usage_error_names_the_setting(argv, named, capsys):
+def test_usage_error_names_the_setting(argv, named, capsys, tmp_path, monkeypatch):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert named in capsys.readouterr().err
 

@@ -27,10 +27,11 @@ from pseudochaos import (
     sample_poisson,
     solve_path,
 )
-from pseudochaos.configurations import DEFAULT_ATOM_BUDGET, _poisson_arrays
+from pseudochaos.configurations import DEFAULT_ATOM_BUDGET, _pad_rows, _poisson_arrays
 from pseudochaos.expansion import (
     _DEAD,
     _coefficient_table,
+    _packed_coefficient_tables,
     _signed_binomial_table,
     _size_histograms,
 )
@@ -347,6 +348,51 @@ def test_reconstruct_of_the_all_live_worst_case_stays_small(params_default):
         tracemalloc.stop()
     assert report.exact_match and report.event_count == 22
     assert peak < 24 << 20
+
+
+def test_packed_tables_of_the_all_live_worst_case_stay_small(params_default):
+    # eight rows of the all-live 22-atom configuration above: the rows go
+    # through the levels one at a time, so the pass holds no more than one
+    # configuration's table
+    times = 0.2 * (np.arange(22) + 1)
+    marks = np.where(np.arange(22) == 0, 0.5, 1 + 1e-9)
+    tracemalloc.start()
+    try:
+        per_size, events = _packed_coefficient_tables(
+            params_default, np.tile(times, (8, 1)), np.tile(marks, (8, 1)), np.full(8, 22)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _coefficient_table(params_default, times, marks)[0]
+    assert (per_size == expected).all() and (events == 22).all()
+    assert peak < 24 << 20
+
+
+def test_packed_tables_on_edge_configurations(
+    params_small, knife_edge_configs, params_small_table, knife_edge_configs_table,
+    pruning_edge_configs,
+):
+    # marks exactly on an intensity, on mu, on the live bound and one ulp past
+    # it: one packed batch per law equals the per-configuration table
+    batches = [(params_small, knife_edge_configs), (params_small_table, knife_edge_configs_table)]
+    for params in {params for params, _ in pruning_edge_configs}:
+        batches.append((params, [c for p, c in pruning_edge_configs if p == params]))
+    for params, configs in batches:
+        times, marks, counts = _pad_rows([c.times for c in configs], [c.marks for c in configs])
+        per_size, events = _packed_coefficient_tables(params, times, marks, counts)
+        for c, row, count in zip(configs, per_size, events):
+            sizes, event_count = _coefficient_table(params, c.times, c.marks)
+            assert row.tolist() == sizes + [0] * (len(row) - len(c))
+            assert count == event_count
+
+
+def test_packed_tables_of_empty_rows(params_small):
+    for n_rows in (0, 3):
+        per_size, events = _packed_coefficient_tables(
+            params_small, np.zeros((n_rows, 0)), np.zeros((n_rows, 0)), np.zeros(n_rows, dtype=np.int64)
+        )
+        assert per_size.shape == (n_rows, 0) and events.tolist() == [0] * n_rows
 
 
 @pytest.mark.parametrize("kernel", ["exp", "table"])

@@ -20,7 +20,16 @@ from pseudochaos import (
     reconstruction_audit,
     run_experiment,
 )
-from pseudochaos.harness import CLOSED_FORM_MEAN_T5, AuditResult, CheckResult, _verdict
+from pseudochaos import expansion
+from pseudochaos.configurations import _pad_rows, _poisson_arrays
+from pseudochaos.harness import (
+    CLOSED_FORM_MEAN_T5,
+    AuditResult,
+    CheckResult,
+    _reconstruction_flags,
+    _verdict,
+)
+from pseudochaos.mc import rng_from_key
 
 
 def test_analytic_mean_zero_kernel(zero_kernel):
@@ -112,6 +121,62 @@ def test_reconstruction_audit_matches_runner(exp_kernel):
     params = HawkesParams(mu=1.0, kernel=exp_kernel, window=Window(T=3.0, M=4.0))
     res = run_experiment(ExperimentSpec("reconstruction", params, 300, seed=24, budget=6))
     assert reconstruction_audit(params, 300, (24, 0), budget=6) == res.extra["audit"]
+
+
+def _per_path_audit(params, budget, seed, start, stop):
+    """The audit's reference: one path at a time, `_coefficient_table` on the
+    path's own draws. Per path, (per_size, event_count, flag), with
+    (None, None, -1) for a path over budget."""
+    out = []
+    for p in range(start, stop):
+        times, marks = _poisson_arrays(params.window, rng_from_key((seed, p)))
+        if len(times) > budget:
+            out.append((None, None, -1))
+        else:
+            per_size, event_count = expansion._coefficient_table(params, times, marks)
+            out.append((per_size, event_count, int(sum(per_size) == event_count)))
+    return out
+
+
+@pytest.mark.parametrize("kernel", ["exp", "table"])
+@pytest.mark.parametrize(
+    "T, M, start",
+    [
+        (3.0, 2.0, 0),     # the audit window of criterion 1
+        (3.0, 2.0, 37),    # a start that is not a multiple of the 256-path chunk
+        (5.0, 4.0, 37),    # the desk window: about 29% of paths over the budget
+        (2.0, 1.0, 0),     # M = mu: every atom always accepted; 14% of paths empty
+        (0.3, 1.0, 0),     # 74% of paths empty
+    ],
+)
+def test_packed_audit_matches_the_per_path_loop(kernel, T, M, start, exp_kernel, table_kernel, monkeypatch):
+    params = HawkesParams(mu=1.0, kernel={"exp": exp_kernel, "table": table_kernel}[kernel],
+                          window=Window(T=T, M=M))
+    n, budget, seed = 300, 22, 3131
+    reference = _per_path_audit(params, budget, seed, start, start + n)
+    if M == params.mu:
+        # every atom is accepted on every subset: no table may be built
+        monkeypatch.setattr(expansion, "_size_counts", lambda *args: pytest.fail("table built"))
+    flags = _reconstruction_flags(params, budget, seed, start, start + n)
+    assert flags.tolist() == [flag for _, _, flag in reference]
+
+    draws = [_poisson_arrays(params.window, rng_from_key((seed, p))) for p in range(start, start + n)]
+    kept = [draw for draw, (_, _, flag) in zip(draws, reference) if flag >= 0]
+    times, marks, counts = _pad_rows([t for t, _ in kept], [th for _, th in kept])
+    per_size, events = expansion._packed_coefficient_tables(params, times, marks, counts)
+    checked = [(sizes, count) for sizes, count, flag in reference if flag >= 0]
+    assert len(checked) == len(per_size)
+    if T * M <= 2.0:
+        assert (counts == 0).any()
+    for row, count, (sizes, event_count), n_atoms in zip(per_size, events, checked, counts):
+        assert row.tolist() == sizes + [0] * (len(row) - n_atoms)
+        assert count == event_count
+
+
+def test_reconstruction_audit_refuses_fewer_than_one_path(params_small):
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match=f"n_paths must be >= 1, got {n_paths}"):
+            reconstruction_audit(params_small, n_paths, (24, 0))
 
 
 def test_chain_reports_match_runner(params_default):
@@ -257,3 +322,9 @@ def test_spec_validation(params_small):
         ExperimentSpec("hawkes_mean", params_small, 0, seed=0)
     with pytest.raises(ValueError, match="functional"):
         ExperimentSpec("ipp", params_small, 10, seed=0, functional="nonsense")
+
+
+def test_spec_refuses_a_negative_budget(params_small):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        ExperimentSpec("reconstruction", params_small, 10, seed=0, budget=-1)
+
